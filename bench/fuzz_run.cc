@@ -33,6 +33,7 @@
 #include <unistd.h>
 
 #include "bench_common.hh"
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "fuzz/fuzz.hh"
 #include "workloads/catalog.hh"
@@ -42,13 +43,6 @@ namespace
 
 using namespace pipm;
 using namespace pipm::fuzz;
-
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    const char *v = std::getenv(name);
-    return v && *v ? std::strtoull(v, nullptr, 10) : fallback;
-}
 
 void
 usage(std::ostream &os)
@@ -172,17 +166,27 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto number = [&]() {
+            const char *text = value();
+            std::uint64_t v = 0;
+            if (!parseU64(text, v)) {
+                std::cerr << "fuzz_run: " << arg << " needs an unsigned "
+                          << "decimal integer, got '" << text << "'\n";
+                std::exit(2);
+            }
+            return v;
+        };
         if (arg == "--help" || arg == "-h") {
             usage(std::cout);
             return 0;
         } else if (arg == "--seeds") {
-            seeds = std::strtoull(value(), nullptr, 10);
+            seeds = number();
         } else if (arg == "--seed0") {
-            seed0 = std::strtoull(value(), nullptr, 10);
+            seed0 = number();
         } else if (arg == "--refs") {
-            refs = std::strtoull(value(), nullptr, 10);
+            refs = number();
         } else if (arg == "--time-budget") {
-            budget_sec = std::strtoull(value(), nullptr, 10);
+            budget_sec = number();
         } else if (arg == "--oracle") {
             oracle_names = value();
         } else if (arg == "--out") {

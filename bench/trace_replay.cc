@@ -6,7 +6,7 @@
  * traces replayed through the simulator) end to end.
  *
  * By default the four trace_gen models are synthesized deterministically
- * into the bench cache directory and replayed; set PIPM_TRACE_FILE to a
+ * into a per-process temp directory and replayed; set PIPM_TRACE_FILE to a
  * .pipmt path (or several, colon-separated) to replay recorded traces
  * instead. Replay runs use the trace's recorded host/core geometry.
  */
@@ -14,7 +14,10 @@
 #include <filesystem>
 #include <iostream>
 #include <memory>
+#include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "bench_common.hh"
 #include "common/env.hh"
@@ -39,6 +42,7 @@ main(int argc, char **argv)
     // (colon-separated), else the generated model suite at the
     // config's geometry.
     std::vector<std::string> paths;
+    std::filesystem::path gen_dir;   // generated suite, removed at exit
     const std::string env_traces = envStr("PIPM_TRACE_FILE", "");
     if (!env_traces.empty()) {
         std::string::size_type pos = 0;
@@ -51,9 +55,11 @@ main(int argc, char **argv)
             pos = end + 1;
         }
     } else {
-        const auto dir = std::filesystem::temp_directory_path() /
-                         "pipm_trace_replay_suite";
-        std::filesystem::create_directories(dir);
+        // Per-process directory: concurrent runs must not overwrite or
+        // delete each other's traces.
+        gen_dir = std::filesystem::temp_directory_path() /
+                  ("pipm_trace_replay_suite_" + std::to_string(::getpid()));
+        std::filesystem::create_directories(gen_dir);
         for (const std::string &model : genModels()) {
             GenSpec spec;
             spec.model = model;
@@ -62,7 +68,7 @@ main(int argc, char **argv)
             spec.refsPerStream = opts.warmupRefs + opts.measureRefs;
             spec.seed = opts.seed;
             const std::string path =
-                (dir / ("gen_" + model + ".pipmt")).string();
+                (gen_dir / ("gen_" + model + ".pipmt")).string();
             // Generation is deterministic, so regenerating over a
             // stale file of the same spec writes identical bytes.
             generateTrace(spec).writeTo(path);
@@ -73,6 +79,9 @@ main(int argc, char **argv)
     std::vector<std::unique_ptr<TraceFileWorkload>> workloads;
     for (const std::string &path : paths)
         workloads.push_back(std::make_unique<TraceFileWorkload>(path));
+    // Readers hold their payload in memory; the files are done with.
+    if (!gen_dir.empty())
+        std::filesystem::remove_all(gen_dir);
 
     TablePrinter table(
         "Trace replay: end-to-end speedup over Native CXL-DSM");

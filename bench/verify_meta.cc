@@ -22,12 +22,12 @@
  *   PIPM_VERIFY_ACCESSES   accesses per schedule (default 12000)
  */
 
-#include <cctype>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 
 #include "common/config.hh"
+#include "common/env.hh"
 #include "common/table_printer.hh"
 #include "verify/fault_schedule.hh"
 
@@ -75,11 +75,7 @@ main(int argc, char **argv)
 {
     using namespace pipm;
 
-    auto env_u64 = [](const char *name, std::uint64_t fallback) {
-        const char *v = std::getenv(name);
-        return v && *v ? std::strtoull(v, nullptr, 10) : fallback;
-    };
-    std::uint64_t seed = env_u64("PIPM_VERIFY_SEED", 1);
+    std::uint64_t seed = envU64("PIPM_VERIFY_SEED", 1);
     bool combined = false;
     bool require_repair = false;
     bool require_unrepairable = false;
@@ -107,17 +103,15 @@ main(int argc, char **argv)
             require_breaker = true;
             continue;
         }
-        if (std::isdigit(static_cast<unsigned char>(arg[0]))) {
-            seed = std::strtoull(arg, nullptr, 10);
+        if (parseU64(arg, seed))
             continue;
-        }
         std::cerr << "verify_meta: unknown argument '" << arg << "'\n";
         usage(std::cerr);
         return 2;
     }
     const auto schedules = static_cast<unsigned>(
-        env_u64("PIPM_VERIFY_SCHEDULES", 3));
-    const std::uint64_t accesses = env_u64("PIPM_VERIFY_ACCESSES", 12'000);
+        envU64("PIPM_VERIFY_SCHEDULES", 3));
+    const std::uint64_t accesses = envU64("PIPM_VERIFY_ACCESSES", 12'000);
 
     // 4 hosts: enough directory/remap population for the corruption
     // events to find victims, with survivors under --combined crashes.

@@ -17,12 +17,12 @@
  *   PIPM_VERIFY_ACCESSES   accesses per schedule (default 20000)
  */
 
-#include <cctype>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 
 #include "common/config.hh"
+#include "common/env.hh"
 #include "common/table_printer.hh"
 #include "verify/fault_schedule.hh"
 
@@ -59,11 +59,7 @@ main(int argc, char **argv)
 {
     using namespace pipm;
 
-    auto env_u64 = [](const char *name, std::uint64_t fallback) {
-        const char *v = std::getenv(name);
-        return v && *v ? std::strtoull(v, nullptr, 10) : fallback;
-    };
-    std::uint64_t seed = env_u64("PIPM_VERIFY_SEED", 1);
+    std::uint64_t seed = envU64("PIPM_VERIFY_SEED", 1);
     bool require_false_suspicion = false;
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -76,18 +72,16 @@ main(int argc, char **argv)
             require_false_suspicion = true;
             continue;
         }
-        if (std::isdigit(static_cast<unsigned char>(arg[0]))) {
-            seed = std::strtoull(arg, nullptr, 10);
+        if (parseU64(arg, seed))
             continue;
-        }
         std::cerr << "verify_suspicion: unknown argument '" << arg
                   << "'\n";
         usage(std::cerr);
         return 2;
     }
     const auto schedules = static_cast<unsigned>(
-        env_u64("PIPM_VERIFY_SCHEDULES", 4));
-    const std::uint64_t accesses = env_u64("PIPM_VERIFY_ACCESSES", 20'000);
+        envU64("PIPM_VERIFY_SCHEDULES", 4));
+    const std::uint64_t accesses = envU64("PIPM_VERIFY_ACCESSES", 20'000);
 
     // 4 hosts so schedules can crash, stall and fence several of them
     // while always leaving survivors to keep issuing accesses.

@@ -60,6 +60,9 @@ main()
 
     SystemConfig cfg = testConfig();
     cfg.numHosts = 2;
+    // Keep the memory image so the printed data values are real: a
+    // fault-free run is value-free. Every fault rate stays at zero.
+    cfg.fault.enabled = true;
     NoTraces workload;
     MultiHostSystem sys(cfg, Scheme::pipmFull, workload, 1);
     PipmState &pipm = *sys.pipmState();

@@ -11,35 +11,76 @@
  * Passing "faults" as the fourth argument enables the paper-default
  * fault-injection schedule (CXL link CRC errors, retraining windows,
  * poisoned lines, migration aborts) and dumps the fault stats too.
+ *
+ * A malformed refs count, an unknown scheme, any fourth argument other
+ * than "faults" or a fifth argument prints usage and exits 2; an
+ * unknown workload is fatal.
  */
+#include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
 
 #include "common/config.hh"
+#include "common/env.hh"
 #include "sim/core.hh"
 #include "sim/system.hh"
 #include "workloads/catalog.hh"
+
+namespace
+{
+
+void
+usage(std::ostream &os)
+{
+    os << "usage: example_diag [workload] [refs-per-core] [scheme] "
+          "[faults]\n\n"
+          "Run one workload under one scheme and dump every stat group.\n"
+          "Schemes: native, nomad, memtis, hemem, os-skew, hw-static,\n"
+          "pipm, local-only, pipm-naive. Defaults: pr 50000 native.\n";
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
 {
     using namespace pipm;
-    SystemConfig cfg = defaultConfig();
-    auto wl = workloadByName(argc > 1 ? argv[1] : "pr", cfg.footprintScale);
-    Scheme scheme = Scheme::native;
-    if (argc > 3) {
-        const std::string want = argv[3];
-        for (Scheme s : allSchemes) {
-            if (want == toString(s))
-                scheme = s;
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--help") == 0 ||
+            std::strcmp(argv[i], "-h") == 0) {
+            usage(std::cout);
+            return 0;
         }
     }
-    if (argc > 4 && std::string(argv[4]) == "faults")
-        cfg.fault = paperFaultConfig();
-    MultiHostSystem sys(cfg, scheme, *wl, 42);
+    auto reject = [](const char *arg) {
+        std::cerr << "example_diag: bad argument '" << arg << "'\n\n";
+        usage(std::cerr);
+        return 2;
+    };
+    if (argc > 5)
+        return reject(argv[5]);
 
-    const std::uint64_t refs =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 50'000;
+    SystemConfig cfg = defaultConfig();
+    auto wl = workloadByName(argc > 1 ? argv[1] : "pr", cfg.footprintScale);
+    std::uint64_t refs = 50'000;
+    if (argc > 2 && !parseU64(argv[2], refs))
+        return reject(argv[2]);
+    Scheme scheme = Scheme::native;
+    if (argc > 3) {
+        const Scheme *s = std::find_if(
+            allSchemesExtended.begin(), allSchemesExtended.end(),
+            [argv](Scheme s) { return argv[3] == toString(s); });
+        if (s == allSchemesExtended.end())
+            return reject(argv[3]);
+        scheme = *s;
+    }
+    if (argc > 4) {
+        if (std::strcmp(argv[4], "faults") != 0)
+            return reject(argv[4]);
+        cfg.fault = paperFaultConfig();
+    }
+    MultiHostSystem sys(cfg, scheme, *wl, 42);
 
     std::vector<OooCore> cores;
     std::vector<std::unique_ptr<CoreTrace>> traces;

@@ -20,6 +20,12 @@
  * hot path (tens of millions of directory and LLC probes per run), which
  * makes the scan footprint a first-order throughput term; see DESIGN.md
  * §9.
+ *
+ * Only the tag strip is zeroed at construction: a way's key and
+ * replacement word are written by its fill before anything reads them (a
+ * victim is only chosen from a full set), so those arrays start
+ * uninitialised and a large, sparsely used array (the device directory)
+ * never faults most of its pages in.
  */
 
 #ifndef PIPM_CACHE_SET_ASSOC_HH
@@ -28,6 +34,7 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -66,8 +73,10 @@ class SetAssoc
              ReplPolicy policy = ReplPolicy::lru, std::uint64_t seed = 1)
         : sets_(sets), ways_(ways), repl_(policy, seed),
           tags_(static_cast<std::size_t>(sets) * ways, 0),
-          keys_(static_cast<std::size_t>(sets) * ways, 0),
-          replWords_(static_cast<std::size_t>(sets) * ways, 0),
+          keys_(std::make_unique_for_overwrite<std::uint64_t[]>(
+              static_cast<std::size_t>(sets) * ways)),
+          replWords_(std::make_unique_for_overwrite<ReplWord[]>(
+              static_cast<std::size_t>(sets) * ways)),
           meta_(static_cast<std::size_t>(sets) * ways)
     {
         panic_if(sets == 0 || (sets & (sets - 1)) != 0,
@@ -257,7 +266,7 @@ class SetAssoc
     void
     forEach(const std::function<void(const Entry &)> &fn) const
     {
-        for (std::size_t i = 0; i < keys_.size(); ++i) {
+        for (std::size_t i = 0; i < tags_.size(); ++i) {
             if (tags_[i])
                 fn(Entry{keys_[i], meta_[i]});
         }
@@ -324,7 +333,7 @@ class SetAssoc
             std::size_t &free_way) const
     {
         const std::uint8_t *tags = tags_.data() + base;
-        const std::uint64_t *keys = keys_.data() + base;
+        const std::uint64_t *keys = keys_.get() + base;
         free_way = npos;
         unsigned w = 0;
         for (; w + 8 <= ways_; w += 8) {
@@ -368,7 +377,7 @@ class SetAssoc
         const std::size_t base = baseOf(h);
         const std::uint8_t fp = fpOf(h);
         const std::uint8_t *tags = tags_.data() + base;
-        const std::uint64_t *keys = keys_.data() + base;
+        const std::uint64_t *keys = keys_.get() + base;
         unsigned w = 0;
         for (; w + 8 <= ways_; w += 8) {
             std::uint64_t m = swarMatchMask(swarLoad(tags + w), fp);
@@ -407,7 +416,7 @@ class SetAssoc
             // runs straight over the stored strip (same first-minimum
             // tie-break as Replacement::victim) — no scratch copy, no
             // out-of-line call on the capacity-fill hot path.
-            const ReplWord *words = replWords_.data() + base;
+            const ReplWord *words = replWords_.get() + base;
             victim_way = 0;
             for (unsigned w = 1; w < ways_; ++w) {
                 if (words[w] < words[victim_way])
@@ -440,8 +449,10 @@ class SetAssoc
     Replacement repl_;
     std::uint64_t useClock_ = 0;
     std::vector<std::uint8_t> tags_;     ///< 0 = empty, else fingerprint
-    std::vector<std::uint64_t> keys_;    ///< confirmed on tag match only
-    std::vector<ReplWord> replWords_;    ///< touched on hit/fill only
+    /** Confirmed on tag match only; written on fill before any read. */
+    std::unique_ptr<std::uint64_t[]> keys_;
+    /** Touched on hit/fill only; written on fill before any read. */
+    std::unique_ptr<ReplWord[]> replWords_;
     std::vector<Meta> meta_;             ///< touched on hit/fill only
 };
 

@@ -378,6 +378,20 @@ struct SystemConfig
      *  osPageTransferBytes). */
     unsigned migrationBytesScale = 4;
 
+    /**
+     * Whether anything can observe data values in this run. Only fault
+     * recovery compares values (crash, suspicion and metadata recovery
+     * decide from them which lines to sync home or count as lost), so a
+     * fault-free run keeps no memory image (DESIGN.md §9, "Value
+     * plane"). Tests that check values on a fault-free run set
+     * `fault.enabled` with every rate at zero, which makes no draws.
+     */
+    bool
+    tracksValues() const
+    {
+        return fault.enabled;
+    }
+
     /** Effective (scaled) L1 capacity in bytes. */
     std::uint64_t
     l1Bytes() const

@@ -114,7 +114,10 @@ checkFaultZero(const FuzzCase &c)
         off.cfg.fault = FaultConfig{};
         // ...versus enabled with every rate at its zero default. The
         // sampled fault seed is kept: a zero-rate schedule must make no
-        // draws, so the seed must not matter.
+        // draws, so the seed must not matter. The "off" run is also
+        // value-free and the "zero" run keeps the memory image
+        // (SystemConfig::tracksValues()), so this equally checks that
+        // no timing depends on a data value.
         FuzzCase zero = c;
         zero.cfg.fault = FaultConfig{};
         zero.cfg.fault.enabled = true;

@@ -63,6 +63,7 @@ MultiHostSystem::MultiHostSystem(const SystemConfig &cfg, Scheme scheme,
       seed_(seed),
       space_(std::make_unique<AddressSpace>(cfg, workload.sharedBytes(),
                                             workload.privateBytesPerHost())),
+      mem_(cfg.tracksValues()),
       deviceDir_(cfg.deviceDirectory),
       cxlDram_(cfg.cxlDram, "cxl_dram"),
       est_(LatencyEstimates::from(cfg)),
@@ -80,7 +81,7 @@ MultiHostSystem::MultiHostSystem(const SystemConfig &cfg, Scheme scheme,
     // point-wise — capacity history is unobservable). Benchmark-scale
     // runs write a few hundred thousand distinct lines, so the cap is
     // sized to absorb them without growth rehashes; the table is past
-    // LLC size either way at that point.
+    // LLC size either way at that point. A value-free image ignores it.
     const std::uint64_t shared_lines =
         space_->sharedPages() * linesPerPage;
     mem_.reserve(std::min<std::uint64_t>(shared_lines, 1u << 17));

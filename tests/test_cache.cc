@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <set>
 
 #include "cache/set_assoc.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 
 namespace pipm
 {
@@ -134,6 +137,70 @@ TEST(SetAssoc, SrripEvictsSomethingValid)
     ASSERT_TRUE(evicted);
     EXPECT_LT(evicted->key, 4u);
     EXPECT_NE(cache.lookup(100), nullptr);
+}
+
+/** forEach and occupancy() agree exactly with a key -> payload model. */
+void
+expectMatchesModel(const SetAssoc<Payload> &cache,
+                   const std::map<std::uint64_t, int> &model)
+{
+    std::map<std::uint64_t, int> seen;
+    cache.forEach([&seen](const SetAssoc<Payload>::Entry &e) {
+        EXPECT_TRUE(seen.emplace(e.key, e.meta.v).second)
+            << "key " << e.key << " visited twice";
+    });
+    EXPECT_EQ(seen, model);
+    EXPECT_EQ(cache.occupancy(), model.size());
+}
+
+TEST(SetAssoc, FillClearRefillMatchesModel)
+{
+    // Keys and replacement words are left uninitialised until a fill
+    // writes them; this drives every policy through fills, evictions,
+    // invalidations and a clear-then-refill, in arrays built over heap
+    // memory a previous array just dirtied, and checks the resident set
+    // against a model after every phase.
+    for (ReplPolicy policy :
+         {ReplPolicy::lru, ReplPolicy::srrip, ReplPolicy::random}) {
+        SCOPED_TRACE(static_cast<int>(policy));
+        {
+            // Dirty the heap with a same-sized array, then free it.
+            auto junk = std::make_unique<SetAssoc<Payload>>(8, 4, policy);
+            for (std::uint64_t k = 0; k < 64; ++k)
+                junk->insertIfAbsent(~k, Payload{-1});
+        }
+        SetAssoc<Payload> cache(8, 4, policy, 5);
+        std::map<std::uint64_t, int> model;
+        Rng rng(17);
+        auto fill_some = [&](unsigned n, int tag) {
+            for (unsigned i = 0; i < n; ++i) {
+                const std::uint64_t key = rng.below(96);
+                if (model.count(key))
+                    continue;
+                const auto ev = cache.insert(key, Payload{tag});
+                if (ev) {
+                    ASSERT_EQ(model.count(ev->key), 1u);
+                    EXPECT_EQ(model[ev->key], ev->meta.v);
+                    model.erase(ev->key);
+                }
+                model[key] = tag;
+            }
+        };
+        fill_some(20, 1);              // partial fill: some sets free
+        expectMatchesModel(cache, model);
+        fill_some(200, 2);             // full sets: evictions
+        expectMatchesModel(cache, model);
+        for (std::uint64_t k = 0; k < 96; k += 3) {
+            const auto gone = cache.invalidate(k);
+            EXPECT_EQ(gone.has_value(), model.erase(k) == 1);
+        }
+        expectMatchesModel(cache, model);
+        cache.clear();
+        model.clear();
+        expectMatchesModel(cache, model);
+        fill_some(200, 3);             // refill after clear
+        expectMatchesModel(cache, model);
+    }
 }
 
 TEST(Replacement, LruVictimIsSmallestStamp)

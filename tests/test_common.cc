@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "common/config.hh"
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -257,6 +258,78 @@ TEST(Logging, PanicIfOnlyFiresWhenTrue)
     ThrowOnErrorGuard guard;
     EXPECT_NO_THROW(panic_if(false, "never"));
     EXPECT_THROW(panic_if(true, "always"), SimError);
+}
+
+/** Set one environment variable for the scope of a test. */
+struct ScopedEnv
+{
+    const char *name;
+    ScopedEnv(const char *n, const char *value) : name(n)
+    {
+        ::setenv(name, value, 1);
+    }
+    ~ScopedEnv() { ::unsetenv(name); }
+};
+
+/** The SimError message envU64 raises for `value`, "" if it parses. */
+std::string
+envU64Error(const char *value)
+{
+    ThrowOnErrorGuard guard;
+    ScopedEnv env("PIPM_TEST_KNOB", value);
+    try {
+        (void)envU64("PIPM_TEST_KNOB", 7);
+    } catch (const SimError &e) {
+        return e.message;
+    }
+    return "";
+}
+
+TEST(Env, U64ParsesPlainDecimalAndFallsBack)
+{
+    EXPECT_EQ(envU64("PIPM_TEST_KNOB_UNSET", 7), 7u);
+    {
+        ScopedEnv env("PIPM_TEST_KNOB", "");
+        EXPECT_EQ(envU64("PIPM_TEST_KNOB", 7), 7u);
+    }
+    ScopedEnv env("PIPM_TEST_KNOB", "18446744073709551615");
+    EXPECT_EQ(envU64("PIPM_TEST_KNOB", 7), 18446744073709551615ull);
+}
+
+TEST(Env, U64RejectsTrailingGarbage)
+{
+    // strtoull read "2e4" as 2 and ran a different experiment.
+    for (const char *bad : {"2e4", "20000 ", "12abc", "1.5"}) {
+        const std::string msg = envU64Error(bad);
+        EXPECT_NE(msg.find("PIPM_TEST_KNOB"), std::string::npos) << bad;
+        EXPECT_NE(msg.find(bad), std::string::npos) << bad;
+    }
+}
+
+TEST(Env, U64RejectsValuesWithoutDigits)
+{
+    for (const char *bad : {"abc", " 5", "-1", "+5", "-"})
+        EXPECT_NE(envU64Error(bad).find("PIPM_TEST_KNOB"),
+                  std::string::npos)
+            << bad;
+}
+
+TEST(Env, ParseU64LeavesOutputUntouchedOnFailure)
+{
+    std::uint64_t v = 5;
+    EXPECT_FALSE(parseU64("12abc", v));
+    EXPECT_FALSE(parseU64("", v));
+    EXPECT_EQ(v, 5u);
+    EXPECT_TRUE(parseU64("0012", v));
+    EXPECT_EQ(v, 12u);
+}
+
+TEST(Env, U64RejectsOverflow)
+{
+    EXPECT_NE(envU64Error("18446744073709551616").find("PIPM_TEST_KNOB"),
+              std::string::npos);
+    EXPECT_NE(envU64Error("99999999999999999999999").find("PIPM_TEST_KNOB"),
+              std::string::npos);
 }
 
 TEST(Config, DefaultIsValidAndMatchesTable2)

@@ -643,6 +643,24 @@ TEST(CrashRun, SameSeedReplayIsDeterministic)
     EXPECT_GT(a.hostCrashes, 0u);
 }
 
+TEST(CrashRun, DirtyLossCountsUnchangedByValuePlane)
+{
+    // The enabled fault domain keeps the memory image, so dirty-loss
+    // accounting must give exactly the counts it gave when the image
+    // was unconditional (pinned below).
+    SystemConfig cfg = testConfig();
+    cfg.fault = paperCrashFaultConfig(3, 20'000.0, 10'000.0);
+    ASSERT_TRUE(cfg.tracksValues());
+
+    auto wl = smallWorkload();
+    const RunResult r = runExperiment(cfg, Scheme::pipmFull, *wl,
+                                      shortRun());
+    EXPECT_EQ(r.execCycles, 962'999u);
+    EXPECT_EQ(r.hostCrashes, 12u);
+    EXPECT_EQ(r.crashLinesReclaimed, 10'503u);
+    EXPECT_EQ(r.crashDirtyLinesLost, 2'107u);
+}
+
 TEST(CrashRun, NeverRejoiningHostRetiresItsCores)
 {
     SystemConfig cfg = testConfig();

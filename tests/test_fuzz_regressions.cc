@@ -151,6 +151,37 @@ TEST(FuzzRegressions, StatsJsonOracleLinkFaults)
     EXPECT_TRUE(r.ok) << r.detail;
 }
 
+// Shrunk by fuzz_run from seed 113 against a planted bug that let the
+// value-free image leak into migrationTransferBytes. The faults-off run
+// is value-free and the zero-rate run keeps the memory image, and
+// Nomad's OS page migrations drive the promotion copy through both.
+TEST(FuzzRegressions, FaultZeroOracleOsMigrationSeed113)
+{
+    ThrowOnErrorGuard guard;
+    FuzzCase c = fuzz::defaultCase();
+    c.cfg.numHosts = 1;
+    c.cfg.osMigration.intervalMs = 0.90969528015579648;
+    c.cfg.osMigration.perPageInitiatorUs = 38.706814854600658;
+    c.cfg.osMigration.perPageOtherUs = 3.4901770408295878;
+    c.cfg.osMigration.maxPagesPerEpoch = 294;
+    c.cfg.osMigration.hotThreshold = 11;
+    c.cfg.localBytesPerHostFull = 34359738368ull;
+    c.cfg.cxlPoolBytesFull = 17179869184ull;
+    c.cfg.footprintScale = 262144;
+    c.cfg.timeScale = 315;
+    c.cfg.migrationBytesScale = 8;
+    c.scheme = Scheme::nomad;
+    c.runSeed = 1038427750699309919ull;
+    c.warmupRefs = 0ull;
+    c.measureRefs = 250ull;
+    fuzz::repairCase(c);
+    ASSERT_TRUE(fuzz::caseValid(c));
+    ASSERT_FALSE(c.cfg.tracksValues());
+    ASSERT_GT(fuzz::runCase(c, fuzz::runConfigFor(c)).osMigrations, 0u);
+    const auto r = fuzz::coreOracle("faultzero").check(c);
+    EXPECT_TRUE(r.ok) << r.detail;
+}
+
 // The fifth oracle class ("jobs": bench-cache rows are byte-identical at
 // any PIPM_BENCH_JOBS) needs the bench sweep infrastructure and lives in
 // bench/fuzz_run.cc; test_bench_sweep.cc covers the same contract at the

@@ -80,5 +80,17 @@ TEST(MemoryImage, WriteReadCopy)
     EXPECT_EQ(mem.read(31), MemoryImage::pristine(30));
 }
 
+TEST(MemoryImage, ValueFreeImageReadsZeroAndDropsWrites)
+{
+    MemoryImage mem(false);
+    EXPECT_FALSE(mem.tracking());
+    mem.reserve(1024);
+    EXPECT_EQ(mem.read(10), 0u);
+    mem.write(10, 0xdead);
+    EXPECT_EQ(mem.read(10), 0u);
+    mem.copyLine(10, 20);
+    EXPECT_EQ(mem.read(20), 0u);
+}
+
 } // namespace
 } // namespace pipm

@@ -67,11 +67,21 @@ privateRef(std::uint64_t page, unsigned line, MemOp op)
     return r;
 }
 
+/** testConfig() with the memory image on: these tests check values.
+ *  Every fault rate stays at zero, so no fault is ever injected. */
+SystemConfig
+valueConfig()
+{
+    SystemConfig cfg = testConfig();
+    cfg.fault.enabled = true;
+    return cfg;
+}
+
 class SystemTest : public ::testing::TestWithParam<Scheme>
 {
   protected:
     SystemTest()
-        : cfg_(testConfig()),
+        : cfg_(valueConfig()),
           workload_(64 * pageBytes, 8 * pageBytes),
           system_(cfg_, GetParam(), workload_, 7)
     {
@@ -204,7 +214,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SystemPipm, PromotionAndIncrementalMigrationLifecycle)
 {
-    SystemConfig cfg = testConfig();
+    SystemConfig cfg = valueConfig();
     TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::pipmFull, wl, 7);
     PipmState &pipm = *sys.pipmState();
@@ -250,7 +260,7 @@ TEST(SystemPipm, PromotionAndIncrementalMigrationLifecycle)
 
 TEST(SystemPipm, InterHostAccessMigratesLineBack)
 {
-    SystemConfig cfg = testConfig();
+    SystemConfig cfg = valueConfig();
     TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::pipmFull, wl, 7);
     PipmState &pipm = *sys.pipmState();
@@ -289,7 +299,7 @@ TEST(SystemPipm, InterHostAccessMigratesLineBack)
 
 TEST(SystemOs, EpochMigratesHotPageAndChargesStalls)
 {
-    SystemConfig cfg = testConfig();
+    SystemConfig cfg = valueConfig();
     TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::memtis, wl, 7);
 
@@ -337,7 +347,7 @@ TEST(SystemOs, EpochMigratesHotPageAndChargesStalls)
 
 TEST(SystemGim, RemoteWritesReachTheOwnerCopy)
 {
-    SystemConfig cfg = testConfig();
+    SystemConfig cfg = valueConfig();
     TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::nomad, wl, 7);
 
@@ -459,6 +469,26 @@ TEST(SystemNaive, NaiveCoherencePaysDeviceRoundTripsOnLocalHits)
     EXPECT_GT(naive_lat, pipm_lat + nsToCycles(80.0));
     pipm_sys.checkInvariants();
     naive_sys.checkInvariants();
+}
+
+TEST(SystemValues, MemoryImageKeptOnlyWhenValuesAreObservable)
+{
+    TinyWorkload wl(16 * pageBytes, 4 * pageBytes);
+    SystemConfig cfg = testConfig();
+    {
+        MultiHostSystem sys(cfg, Scheme::pipmFull, wl, 7);
+        EXPECT_FALSE(sys.memory().tracking());
+        // Value-free: memory holds no pristine values (cache data words
+        // still carry whatever a core wrote).
+        const AccessResult res =
+            sys.access(1, 0, sharedRef(3, 5, MemOp::read), 100);
+        EXPECT_EQ(res.data, 0u);
+        EXPECT_GT(res.latency, 0u);
+    }
+    cfg.fault.enabled = true;   // dirty-loss accounting reads values
+    EXPECT_TRUE(MultiHostSystem(cfg, Scheme::pipmFull, wl, 7)
+                    .memory()
+                    .tracking());
 }
 
 TEST(SystemStats, LocalOnlyServesEverythingLocally)

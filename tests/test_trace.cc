@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -48,8 +50,16 @@ class TraceTest : public ::testing::Test
     void
     SetUp() override
     {
-        dir_ = std::filesystem::temp_directory_path() /
-               "pipm_trace_subsystem_test";
+        // One directory per test and process: ctest runs every TEST as
+        // its own process, in parallel under -j, so a shared directory
+        // would let one case's SetUp delete another's traces.
+        const auto *info =
+            ::testing::UnitTest::GetInstance()->current_test_info();
+        const std::string name = std::string("pipm_trace_subsystem_test_") +
+                                 info->test_suite_name() + "_" +
+                                 info->name() + "_" +
+                                 std::to_string(::getpid());
+        dir_ = std::filesystem::temp_directory_path() / name;
         std::filesystem::remove_all(dir_);
         std::filesystem::create_directories(dir_);
     }

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 
@@ -27,8 +29,16 @@ class TraceFileTest : public ::testing::Test
     void
     SetUp() override
     {
-        dir_ = std::filesystem::temp_directory_path() /
-               "pipm_trace_test_dir";
+        // One directory per test and process: ctest runs every TEST as
+        // its own process, in parallel under -j, so a shared directory
+        // would let one case's SetUp delete another's traces.
+        const auto *info =
+            ::testing::UnitTest::GetInstance()->current_test_info();
+        const std::string name = std::string("pipm_trace_test_dir_") +
+                                 info->test_suite_name() + "_" +
+                                 info->name() + "_" +
+                                 std::to_string(::getpid());
+        dir_ = std::filesystem::temp_directory_path() / name;
         std::filesystem::remove_all(dir_);
         std::filesystem::create_directories(dir_);
     }
