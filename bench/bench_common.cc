@@ -195,8 +195,8 @@ handleHarnessArgs(int argc, char **argv, const char *name,
               "  PIPM_BENCH_CACHE   cache file path "
               "(default ./pipm_bench_cache.tsv)\n"
               "  PIPM_BENCH_JOBS    sweep worker threads (default 1)\n"
-              "  PIPM_BENCH_FAULTS  enable the paper-default fault "
-              "schedule\n"
+              "  PIPM_BENCH_FAULTS  fault schedule: 1, crash, suspect "
+              "or meta (default 0: off)\n"
               "  PIPM_STATS_JSON, PIPM_OBS_INTERVAL, PIPM_OBS_TRACE,\n"
               "  PIPM_OBS_WATCH     observability exports "
               "(DESIGN.md §10)\n";
@@ -236,27 +236,27 @@ configKey(const SystemConfig &cfg)
 bool
 applyEnvFaults(SystemConfig &cfg)
 {
-    const char *v = std::getenv("PIPM_BENCH_FAULTS");
-    if (!v || !*v || std::string(v) == "0")
+    // "1" is the paper-default fault-only schedule (DESIGN.md §7);
+    // "crash" adds host fail-stop crashes and rejoins (§8), "suspect"
+    // layers the lease detector, gray-failure stalls and transaction
+    // retries on top of that (§11), and "meta" adds device-metadata
+    // corruption, scrub-and-repair, journal replay, the degraded fallback
+    // and the migration circuit breaker to the base rates (§12).
+    const std::string mode = envStr("PIPM_BENCH_FAULTS", "0");
+    if (mode == "0")
         return false;
-    // "crash" (or "2") additionally enables the host fail-stop crash and
-    // rejoin schedule; "suspect" (or "3") layers the lease-based failure
-    // detector, gray-failure stall windows and transaction retries on
-    // top of that (DESIGN.md §11); "meta" (or "4") layers the
-    // device-metadata corruption schedule — scrub-and-repair, journal
-    // replay, degraded fallback and the migration circuit breaker — on
-    // the base rates (DESIGN.md §12); any other value keeps the original
-    // fault-only schedule bit-identical to what it produced before
-    // crashes existed.
-    const std::string mode(v);
     const std::uint64_t fseed = envU64("PIPM_BENCH_SEED", 42);
-    cfg.fault = (mode == "meta" || mode == "4")
-                    ? paperMetaFaultConfig(fseed)
-                : (mode == "suspect" || mode == "3")
-                    ? paperSuspicionFaultConfig(fseed)
-                : (mode == "crash" || mode == "2")
-                    ? paperCrashFaultConfig(fseed)
-                    : paperFaultConfig(fseed);
+    if (mode == "1")
+        cfg.fault = paperFaultConfig(fseed);
+    else if (mode == "crash" || mode == "2")
+        cfg.fault = paperCrashFaultConfig(fseed);
+    else if (mode == "suspect" || mode == "3")
+        cfg.fault = paperSuspicionFaultConfig(fseed);
+    else if (mode == "meta" || mode == "4")
+        cfg.fault = paperMetaFaultConfig(fseed);
+    else
+        fatal("PIPM_BENCH_FAULTS='", mode, "' is not one of 0, 1, "
+              "crash (2), suspect (3) or meta (4)");
     return true;
 }
 

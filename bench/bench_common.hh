@@ -26,10 +26,10 @@
  *   PIPM_BENCH_SEED    RNG seed (default 42)
  *   PIPM_BENCH_CACHE   cache file path (default ./pipm_bench_cache.tsv)
  *   PIPM_BENCH_JOBS    worker threads for Sweep::run (default 1)
- *   PIPM_BENCH_FAULTS  any value but empty/"0": enable the paper-default
- *                      fault schedule (harnesses calling applyEnvFaults);
- *                      "crash" or "2" additionally enables the host
- *                      fail-stop crash/rejoin schedule (DESIGN.md §8)
+ *   PIPM_BENCH_FAULTS  "1": the paper-default fault schedule (harnesses
+ *                      calling applyEnvFaults); "crash" (2), "suspect"
+ *                      (3) or "meta" (4) add the §8, §11 or §12 failure
+ *                      domains; empty or "0": off; anything else is fatal
  *
  * The observability knobs (PIPM_STATS_JSON, PIPM_OBS_INTERVAL,
  * PIPM_OBS_TRACE, PIPM_OBS_WATCH — DESIGN.md §10) are resolved once in
@@ -146,8 +146,8 @@ class Sweep
 std::string configKey(const pipm::SystemConfig &cfg);
 
 /**
- * Enable the paper-default fault schedule on `cfg` when the
- * PIPM_BENCH_FAULTS environment variable is set (and not "0").
+ * Enable the fault schedule PIPM_BENCH_FAULTS names on `cfg` (unset,
+ * empty or "0": none). An unknown value is fatal.
  * @return whether faults were enabled
  */
 bool applyEnvFaults(pipm::SystemConfig &cfg);

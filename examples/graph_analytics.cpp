@@ -11,10 +11,10 @@
  * punish side-effect-blind whole-page migration.
  */
 
-#include <cstdlib>
 #include <iostream>
 
 #include "common/config.hh"
+#include "common/env.hh"
 #include "common/table_printer.hh"
 #include "sim/runner.hh"
 #include "workloads/catalog.hh"
@@ -24,8 +24,11 @@ main(int argc, char **argv)
 {
     using namespace pipm;
 
-    const std::uint64_t refs =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 120'000;
+    std::uint64_t refs = 120'000;
+    if (argc > 1 && !parseU64(argv[1], refs)) {
+        std::cerr << "usage: example_graph_analytics [refs-per-core]\n";
+        return 2;
+    }
 
     SystemConfig cfg = defaultConfig();
     auto workload = workloadByName("pr", cfg.footprintScale);

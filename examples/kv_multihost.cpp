@@ -6,10 +6,10 @@
  * hardest case for page migration (§5.2.1: databases gain the least).
  */
 
-#include <cstdlib>
 #include <iostream>
 
 #include "common/config.hh"
+#include "common/env.hh"
 #include "common/table_printer.hh"
 #include "sim/runner.hh"
 #include "workloads/catalog.hh"
@@ -19,8 +19,11 @@ main(int argc, char **argv)
 {
     using namespace pipm;
 
-    const std::uint64_t refs =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 100'000;
+    std::uint64_t refs = 100'000;
+    if (argc > 1 && !parseU64(argv[1], refs)) {
+        std::cerr << "usage: example_kv_multihost [refs-per-core]\n";
+        return 2;
+    }
 
     SystemConfig cfg = defaultConfig();
     auto workload = workloadByName("ycsb", cfg.footprintScale);

@@ -550,23 +550,15 @@ MultiHostSystem::globalRemapLookup(PageFrame page, Cycles now)
 }
 
 Cycles
-MultiHostSystem::upgrade(HostId h, LineAddr line, Cycles now)
+MultiHostSystem::invalidateSharers(HostId h, LineAddr line,
+                                   const DirEntry &entry, Cycles now)
 {
-    upgradeMisses.inc();
-    Cycles lat = hosts_[h].link->transfer(LinkDir::toDevice,
-                                          CxlFlits::header, now);
-    lat += deviceDir_.accessLatency(line, now);
-    DirEntry *entry = deviceDir_.lookup(line);
-    panic_if(!entry, "upgrade: no directory entry for cached S line ",
-             line);
-    panic_if(!entry->has(h), "upgrade: host not recorded as sharer");
-
-    // Invalidate the other sharers in parallel; the latency is the
-    // slowest round trip among them.
+    // The invalidations go out in parallel; the latency is the slowest
+    // round trip among them.
     Cycles inv_max = 0;
     for (unsigned s = 0; s < cfg_.numHosts; ++s) {
         const auto sh = static_cast<HostId>(s);
-        if (sh == h || !entry->has(sh))
+        if (sh == h || !entry.has(sh))
             continue;
         Cycles rt = 0;
         if (detection_) {
@@ -582,7 +574,22 @@ MultiHostSystem::upgrade(HostId h, LineAddr line, Cycles now)
                                         CxlFlits::header, now + rt);
         inv_max = std::max(inv_max, rt);
     }
-    lat += inv_max;
+    return inv_max;
+}
+
+Cycles
+MultiHostSystem::upgrade(HostId h, LineAddr line, Cycles now)
+{
+    upgradeMisses.inc();
+    Cycles lat = hosts_[h].link->transfer(LinkDir::toDevice,
+                                          CxlFlits::header, now);
+    lat += deviceDir_.accessLatency(line, now);
+    DirEntry *entry = deviceDir_.lookup(line);
+    panic_if(!entry, "upgrade: no directory entry for cached S line ",
+             line);
+    panic_if(!entry->has(h), "upgrade: host not recorded as sharer");
+
+    lat += invalidateSharers(h, line, *entry, now);
     noteDirState(line, entry->state, DevState::M, h, now);
     entry->state = DevState::M;
     entry->sharers = 1u << h;
@@ -901,27 +908,7 @@ MultiHostSystem::cxlAccess(HostId h, CoreId c, std::uint64_t shared_idx,
             return lat;
         }
         // Write miss on a shared line: invalidate every sharer.
-        Cycles inv_max = 0;
-        for (unsigned s = 0; s < cfg_.numHosts; ++s) {
-            const auto sh = static_cast<HostId>(s);
-            if (sh == h || !entry->has(sh))
-                continue;
-            Cycles rt = 0;
-            if (detection_) {
-                // Stalled sharers delay their acks; suspicion is left to
-                // the lease so `entry` survives the fan-out.
-                rt += awaitHost(sh, now, false).latency;
-            }
-            rt += hosts_[sh].link->transfer(
-                LinkDir::toHost, CxlFlits::header, now);
-            rt += hosts_[sh].caches->llcRoundTrip();
-            hosts_[sh].caches->invalidateLine(line);
-            rt += hosts_[sh].link->transfer(LinkDir::toDevice,
-                                            CxlFlits::header,
-                                            now + rt);
-            inv_max = std::max(inv_max, rt);
-        }
-        lat += inv_max;
+        lat += invalidateSharers(h, line, *entry, now);
         lat += cxlDram_.access(pa - cfg_.cxlBase(), now, false);
         std::uint64_t data;
         const HostId wbit_host =
@@ -1713,98 +1700,11 @@ MultiHostSystem::reclaimHost(HostId h, Cycles now)
     // ---- 3. Remap-state recovery (partially migrated pages) ------------
     if (pipm_) {
         // FlatMap iteration is probe order; sort for deterministic sweeps.
-        const std::vector<PageFrame> pages =
-            pipm_->localEntries(h).sortedKeys();
-        for (const PageFrame page : pages) {
-            const LocalRemapEntry entry = pipm_->localEntries(h).at(page);
-            if (entry.lineBitmap == 0) {
-                // In-flight promotion with no line migrated yet: the
-                // existing abort/rollback path restores the exact
-                // pre-vote state.
-                pipm_->abortPromotion(h, page);
-            } else {
-                const PhysAddr base = pageBase(page);
-                for (unsigned li = 0; li < linesPerPage; ++li) {
-                    if (!((entry.lineBitmap >> li) & 1))
-                        continue;
-                    const LineAddr home = lineOf(base + li * lineBytes);
-                    faults_->crashLinesReclaimed.inc();
-                    // Clearing the in-memory bit is a device-side
-                    // metadata write at the line's home.
-                    recovery += cxlDram_.access(
-                        lineBase(home) - cfg_.cxlBase(), now, true);
-                    const PhysAddr lpa =
-                        pipm_->localLineAddr(h, page, li);
-                    const DirEntry *de = deviceDir_.probe(home);
-                    if (de && de->state == DevState::S) {
-                        // Naive coherence: live hosts still hold clean S
-                        // copies carrying the last device-visible value
-                        // (the home is stale while the bit is set). Pull
-                        // the value from one of them into the home so
-                        // nothing is lost when those copies age out.
-                        HostId src = invalidHost;
-                        for (unsigned s = 0; s < cfg_.numHosts; ++s) {
-                            const auto sh = static_cast<HostId>(s);
-                            if (de->has(sh) && hostAlive_[sh] &&
-                                hosts_[sh].caches->stateOf(home) !=
-                                    HostState::I) {
-                                src = sh;
-                                break;
-                            }
-                        }
-                        if (src != invalidHost) {
-                            const std::uint64_t v =
-                                hosts_[src].caches->dataOf(home);
-                            if (v != mem_.read(home)) {
-                                mem_.write(home, v);
-                                recovery += hosts_[src].link->transfer(
-                                    LinkDir::toDevice, CxlFlits::data,
-                                    now);
-                                recovery += cxlDram_.access(
-                                    lineBase(home) - cfg_.cxlBase(), now,
-                                    true);
-                            }
-                            continue;
-                        }
-                    } else if (de && de->state == DevState::M) {
-                        // Naive coherence: a live owner caches the latest
-                        // value in M. Sync it to the home now — a *clean*
-                        // eviction later would otherwise drop it silently
-                        // (dirty writebacks land at the home anyway once
-                        // the bit is cleared).
-                        const HostId lo = de->owner(cfg_.numHosts);
-                        const std::uint64_t v =
-                            hosts_[lo].caches->dataOf(home);
-                        if (v != mem_.read(home)) {
-                            mem_.write(home, v);
-                            recovery += cxlDram_.access(
-                                lineBase(home) - cfg_.cxlBase(), now,
-                                true);
-                        }
-                        continue;
-                    }
-                    // The latest value lived only with the dead host: its
-                    // dirty cached copy if there was one, else its local
-                    // DRAM frame copy. The home keeps serving its stale
-                    // copy; count the loss if the values differ.
-                    const auto cit = latest.find(home);
-                    const std::uint64_t v = cit != latest.end()
-                                                ? cit->second
-                                                : mem_.read(lineOf(lpa));
-                    if (v != mem_.read(home))
-                        record_lost(home);
-                }
-                pipm_->crashReclaimPage(h, page);
-            }
+        for (const PageFrame page : pipm_->localEntries(h).sortedKeys()) {
+            faults_->crashLinesReclaimed.inc(static_cast<std::uint64_t>(
+                std::popcount(pipm_->localEntries(h).at(page).lineBitmap)));
+            recovery += reclaimRemappedPage(h, page, now, &lost_this_crash);
             faults_->crashPagesReclaimed.inc();
-            // Stale remap-cache entries anywhere must go: the page is no
-            // longer remapped.
-            for (unsigned s = 0; s < cfg_.numHosts; ++s) {
-                if (hosts_[s].localRemap)
-                    hosts_[s].localRemap->invalidate(page);
-            }
-            if (globalRemap_)
-                globalRemap_->invalidate(page);
             recovery += cfg_.pipm.globalCacheRoundTrip;
         }
         // A dead host must not win a pending majority vote.
@@ -1853,6 +1753,83 @@ MultiHostSystem::reclaimHost(HostId h, Cycles now)
     faults_->crashRecoveryCycles.inc(recovery);
 }
 
+Cycles
+MultiHostSystem::reclaimRemappedPage(HostId h, PageFrame page, Cycles now,
+                                     FlatSet<LineAddr> *lost_once)
+{
+    Cycles lat = 0;
+    auto &dirty = pendingDirty_[h];
+    const std::uint64_t bitmap = pipm_->localEntries(h).at(page).lineBitmap;
+    if (bitmap == 0) {
+        // In-flight promotion with no line migrated yet: the abort path
+        // restores the exact pre-vote state (and drops any quarantine).
+        pipm_->abortPromotion(h, page);
+    }
+    for (unsigned li = 0; li < linesPerPage; ++li) {
+        if (!((bitmap >> li) & 1))
+            continue;
+        const LineAddr home = lineOf(pageBase(page) + li * lineBytes);
+        // Clearing the in-memory bit is a device-side metadata write at
+        // the line's home.
+        lat += cxlDram_.access(lineBase(home) - cfg_.cxlBase(), now, true);
+        const DirEntry *de =
+            naiveCoherence_ ? deviceDir_.probe(home) : nullptr;
+        HostId src = invalidHost;
+        for (unsigned s = 0; de && s < cfg_.numHosts; ++s) {
+            const auto sh = static_cast<HostId>(s);
+            if (de->has(sh) && hostAlive_[sh] &&
+                hosts_[sh].caches->stateOf(home) != HostState::I) {
+                src = sh;
+                break;
+            }
+        }
+        if (src != invalidHost) {
+            // Naive coherence caches migrated lines as ordinary
+            // directory-tracked M/S copies while the home is stale. A
+            // live copy carries the latest value: sync the home from it
+            // now, or a clean eviction later would drop it silently.
+            const std::uint64_t v = hosts_[src].caches->dataOf(home);
+            if (v != mem_.read(home)) {
+                mem_.write(home, v);
+                lat += hosts_[src].link->transfer(LinkDir::toDevice,
+                                                  CxlFlits::data, now);
+                lat += cxlDram_.access(lineBase(home) - cfg_.cxlBase(),
+                                       now, true);
+            }
+            continue;
+        }
+        // Otherwise the latest value is the owner's ME-cached copy (PIPM
+        // coherence: invisible to the directory, so pull it back), else
+        // the dirty value a dead owner left behind, else the local frame.
+        // The home keeps serving its copy; count the loss if they differ.
+        std::uint64_t v;
+        const auto me = naiveCoherence_
+                            ? std::nullopt
+                            : hosts_[h].caches->invalidateLine(home);
+        if (me) {
+            v = me->data;
+        } else if (const auto it = dirty.find(home); it != dirty.end()) {
+            v = it->second;
+            dirty.erase(it);
+        } else {
+            v = mem_.read(lineOf(pipm_->localLineAddr(h, page, li)));
+        }
+        if (v != mem_.read(home) && (!lost_once || lost_once->insert(home)))
+            noteLostLine(home);
+    }
+    if (bitmap != 0)
+        pipm_->crashReclaimPage(h, page);   // drops quarantine + journal
+    // Stale remap-cache entries anywhere must go: the page is no longer
+    // remapped.
+    for (unsigned s = 0; s < cfg_.numHosts; ++s) {
+        if (hosts_[s].localRemap)
+            hosts_[s].localRemap->invalidate(page);
+    }
+    if (globalRemap_)
+        globalRemap_->invalidate(page);
+    return lat;
+}
+
 void
 MultiHostSystem::noteLostLine(LineAddr line)
 {
@@ -1865,14 +1842,16 @@ MultiHostSystem::noteLostLine(LineAddr line)
 void
 MultiHostSystem::noteDeadOwnedDrop(LineAddr line, const DirEntry &entry)
 {
-    if (!detection_ || entry.state != DevState::M)
+    if (entry.state != DevState::M)
         return;
     const HostId mo = entry.owner(cfg_.numHosts);
-    if (mo == invalidHost || hostAlive_[mo] || !needsReclaim_[mo])
+    if (mo == invalidHost || hostAlive_[mo])
         return;
-    // The entry is about to evaporate outside the reclaim sweep (recall
-    // or OS page flush): decide lost-ness now, and forget the pending
-    // value so the eventual sweep does not double-count it.
+    // The entry is about to evaporate outside the reclaim sweep (recall,
+    // OS page flush or unrepairable metadata): decide lost-ness now, and
+    // forget the pending value so the eventual sweep does not
+    // double-count it. A dead host holds pending values only while its
+    // reclaim is deferred (checkInvariants).
     auto &dirty = pendingDirty_[mo];
     const auto it = dirty.find(line);
     if (it != dirty.end()) {
@@ -2026,19 +2005,28 @@ MultiHostSystem::resolveDirCorruption(LineAddr line, Cycles now)
     // value like any other entry evaporating outside the reclaim sweep,
     // drop the entry and poison the line onto the persistent degraded
     // uncacheable path.
-    const DirEntry snap = *entry;
-    if (snap.state == DevState::M) {
-        const HostId mo = snap.owner(cfg_.numHosts);
-        if (mo != invalidHost && !hostAlive_[mo]) {
-            auto &dirty = pendingDirty_[mo];
-            const auto it = dirty.find(line);
-            if (it != dirty.end()) {
-                if (it->second != mem_.read(line))
-                    noteLostLine(line);
-                dirty.erase(it);
-            }
-        }
+    //
+    // The degraded path serves the CXL home, but under naive coherence a
+    // migrated line's memory copy lives in its owner's local frame (and
+    // the bit would keep redirecting, and caching, the poisoned line).
+    // A live owner pulls the line home first; a dead owner's line goes
+    // home in its reclaim sweep, which the next access to it forces.
+    const PageFrame page = pageOfLine(line);
+    const auto li = static_cast<unsigned>(line & (linesPerPage - 1));
+    const HostId mh =
+        naiveCoherence_ ? pipm_->migratedHostOf(page) : invalidHost;
+    if (mh != invalidHost && hostAlive_[mh] &&
+        pipm_->lineMigrated(mh, page, li)) {
+        const PhysAddr lpa = pipm_->localLineAddr(mh, page, li);
+        lat += hosts_[mh].dram->access(lpa - cfg_.localBase(mh), now, false);
+        mem_.write(line, mem_.read(lineOf(lpa)));
+        lat += hosts_[mh].link->transfer(LinkDir::toDevice, CxlFlits::data,
+                                         now);
+        lat += cxlDram_.access(lineBase(line) - cfg_.cxlBase(), now, true);
+        pipm_->clearLineMigrated(mh, page, li);
     }
+    const DirEntry snap = *entry;
+    noteDeadOwnedDrop(line, snap);
     for (unsigned s = 0; s < cfg_.numHosts; ++s) {
         const auto sh = static_cast<HostId>(s);
         if (!snap.has(sh) || !hostAlive_[sh])
@@ -2106,73 +2094,7 @@ MultiHostSystem::resolveRemapCorruption(HostId h, PageFrame page,
     // unrecoverable. Force-reclaim the page exactly like the crash
     // sweep — the home copies become authoritative and per-line
     // differences count as dirty losses.
-    const LocalRemapEntry entry = pipm_->localEntries(h).at(page);
-    if (entry.lineBitmap == 0) {
-        // In-flight promotion with no line migrated yet: the abort path
-        // restores the exact pre-vote state (and drops the quarantine).
-        pipm_->abortPromotion(h, page);
-    } else {
-        const PhysAddr base = pageBase(page);
-        for (unsigned li = 0; li < linesPerPage; ++li) {
-            if (!((entry.lineBitmap >> li) & 1))
-                continue;
-            const LineAddr home = lineOf(base + li * lineBytes);
-            // Clearing the in-memory bit is a device-side metadata write
-            // at the line's home.
-            lat += cxlDram_.access(lineBase(home) - cfg_.cxlBase(), now,
-                                   true);
-            const PhysAddr lpa = pipm_->localLineAddr(h, page, li);
-            if (naiveCoherence_) {
-                // Naive coherence caches migrated lines as ordinary
-                // directory-tracked M/S copies; only the memory copy
-                // moves back. Sync the home from a live cached copy
-                // (mirroring the crash sweep) so nothing is lost when
-                // those copies age out.
-                const DirEntry *de = deviceDir_.probe(home);
-                HostId src = invalidHost;
-                if (de) {
-                    for (unsigned s = 0; s < cfg_.numHosts; ++s) {
-                        const auto sh = static_cast<HostId>(s);
-                        if (de->has(sh) && hostAlive_[sh] &&
-                            hosts_[sh].caches->stateOf(home) !=
-                                HostState::I) {
-                            src = sh;
-                            break;
-                        }
-                    }
-                }
-                if (src != invalidHost) {
-                    const std::uint64_t v =
-                        hosts_[src].caches->dataOf(home);
-                    if (v != mem_.read(home)) {
-                        mem_.write(home, v);
-                        lat += hosts_[src].link->transfer(
-                            LinkDir::toDevice, CxlFlits::data, now);
-                        lat += cxlDram_.access(
-                            lineBase(home) - cfg_.cxlBase(), now, true);
-                    }
-                } else if (mem_.read(lineOf(lpa)) != mem_.read(home)) {
-                    // The latest value lived only in the local frame.
-                    noteLostLine(home);
-                }
-                continue;
-            }
-            // PIPM coherence: the line is (at most) ME-cached by the
-            // page's owner, invisible to the directory. Pull it back.
-            auto ev = hosts_[h].caches->invalidateLine(home);
-            const std::uint64_t v = ev ? ev->data
-                                       : mem_.read(lineOf(lpa));
-            if (v != mem_.read(home))
-                noteLostLine(home);
-        }
-        pipm_->crashReclaimPage(h, page);   // drops quarantine + journal
-    }
-    for (unsigned s = 0; s < cfg_.numHosts; ++s) {
-        if (hosts_[s].localRemap)
-            hosts_[s].localRemap->invalidate(page);
-    }
-    if (globalRemap_)
-        globalRemap_->invalidate(page);
+    lat += reclaimRemappedPage(h, page, now, nullptr);
     faults_->metaUnrepairable.inc();
     if (trace_)
         trace_->record(ObsEventType::scrubUnrepairable, now, page, h);

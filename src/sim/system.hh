@@ -323,6 +323,11 @@ class MultiHostSystem
     /** S->M upgrade at the device directory (write hit on shared line). */
     Cycles upgrade(HostId h, LineAddr line, Cycles now);
 
+    /** Invalidate every S sharer of `entry` other than h; returns the
+     *  slowest invalidation round trip. */
+    Cycles invalidateSharers(HostId h, LineAddr line, const DirEntry &entry,
+                             Cycles now);
+
     /** Handle one LLC eviction (cases 1 and 4 live here). */
     void handleEviction(HostId h, const CacheHierarchy::Eviction &ev,
                         Cycles now);
@@ -409,6 +414,16 @@ class MultiHostSystem
      */
     void reclaimHost(HostId h, Cycles now);
 
+    /**
+     * Send host h's remapped `page` home, for the §8 sweep and the §12
+     * journal-less force-reclaim (DESIGN.md §8 states the per-line
+     * rule), and drop its remap entry and remap-cache copies. A loss is
+     * reported unless `lost_once` (when given) already holds the line.
+     * Returns the device-side latency.
+     */
+    Cycles reclaimRemappedPage(HostId h, PageFrame page, Cycles now,
+                               FlatSet<LineAddr> *lost_once);
+
     // ---- Lease detection (DESIGN.md §11) ---------------------------------
 
     /** Advance heartbeats, fire lease expiries, readmit fenced zombies. */
@@ -430,7 +445,8 @@ class MultiHostSystem
     TxnAwait awaitHost(HostId t, Cycles now, bool suspect_on_fail);
 
     /** Account a dirty line of a dead-unswept owner dropped outside the
-     *  reclaim sweep (directory recall or OS page flush). */
+     *  reclaim sweep (directory recall, OS page flush or an unrepairable
+     *  directory entry). */
     void noteDeadOwnedDrop(LineAddr line, const DirEntry &entry);
 
     /** Record one lost dirty line (counter, lostLines_, poison policy). */

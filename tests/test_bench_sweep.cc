@@ -2,11 +2,13 @@
  * @file
  * Tests for the benchmark sweep driver and TSV cache (bench_common):
  * job-count-independent results, canonical cache files, atomic merge
- * writes, and tolerance of malformed cache rows.
+ * writes, tolerance of malformed cache rows, and the PIPM_BENCH_FAULTS
+ * mode parser.
  */
 
 #include <cctype>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -15,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "bench_common.hh"
+#include "common/logging.hh"
 #include "workloads/catalog.hh"
 
 namespace
@@ -182,6 +185,71 @@ TEST_F(SweepTest, MergePreservesRowsWrittenByOthers)
     ASSERT_EQ(keys.size(), 2u);
     // Canonical order: sorted by key.
     EXPECT_LT(keys[0], keys[1]);
+}
+
+/**
+ * Run applyEnvFaults with PIPM_BENCH_FAULTS=`mode` on a fresh config.
+ * Returns the SimError message it raised ("" if none); `enabled` gets
+ * its result and `cfg` the config it left.
+ */
+std::string
+applyBenchFaults(const char *mode, bool &enabled, SystemConfig &cfg)
+{
+    detail::throwOnError = true;
+    ::setenv("PIPM_BENCH_FAULTS", mode, 1);
+    cfg = testConfig();
+    std::string error;
+    try {
+        enabled = applyEnvFaults(cfg);
+    } catch (const SimError &e) {
+        error = e.message;
+    }
+    ::unsetenv("PIPM_BENCH_FAULTS");
+    detail::throwOnError = false;
+    return error;
+}
+
+TEST(BenchEnv, FaultsModeSelectsEachFailureDomain)
+{
+    bool on = true;
+    SystemConfig cfg;
+    EXPECT_EQ(applyBenchFaults("0", on, cfg), "");
+    EXPECT_FALSE(on);
+    EXPECT_FALSE(cfg.fault.enabled);
+    EXPECT_EQ(applyBenchFaults("", on, cfg), "");
+    EXPECT_FALSE(on);
+
+    EXPECT_EQ(applyBenchFaults("1", on, cfg), "");
+    EXPECT_TRUE(on);
+    SystemConfig paper = testConfig();
+    paper.fault = paperFaultConfig(42);
+    EXPECT_EQ(cfg.measurementKey(), paper.measurementKey());
+    for (const char *crash : {"crash", "2"}) {
+        EXPECT_EQ(applyBenchFaults(crash, on, cfg), "");
+        EXPECT_GT(cfg.fault.crashMeanIntervalNs, 0.0) << crash;
+    }
+    for (const char *suspect : {"suspect", "3"}) {
+        EXPECT_EQ(applyBenchFaults(suspect, on, cfg), "");
+        EXPECT_GT(cfg.fault.leaseNs, 0.0) << suspect;
+    }
+    for (const char *meta : {"meta", "4"}) {
+        EXPECT_EQ(applyBenchFaults(meta, on, cfg), "");
+        EXPECT_GT(cfg.fault.metaCorruptMeanIntervalNs, 0.0) << meta;
+    }
+}
+
+TEST(BenchEnv, FaultsModeRejectsUnknownValues)
+{
+    // A typo used to run the fault-only schedule without a word.
+    for (const char *bad : {"crsh", "yes", "5", " 1", "meta "}) {
+        bool on = false;
+        SystemConfig cfg;
+        const std::string msg = applyBenchFaults(bad, on, cfg);
+        EXPECT_NE(msg.find("PIPM_BENCH_FAULTS='" + std::string(bad) + "'"),
+                  std::string::npos)
+            << bad;
+        EXPECT_NE(msg.find("suspect"), std::string::npos) << msg;
+    }
 }
 
 } // namespace

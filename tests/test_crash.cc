@@ -498,6 +498,66 @@ TEST(CrashRemap, PartialBitmapReintegratedWithLossAccounting)
     }
 }
 
+/**
+ * Host 0 owns shared page 0 with every line migrated clean (local frame
+ * equal to the home) and one line, `li`, rewritten in ME; it then
+ * crashes under a lease, so that value waits in its pending dirty set.
+ * With `quarantine`, a shadow-checksum hit on the page's remap entry
+ * with no journal to replay forces the §12 reclaim of the page ahead of
+ * the §8 sweep. Returns every line lost once the host is suspected.
+ */
+std::vector<LineAddr>
+lostAfterLeaseCrash(bool quarantine, unsigned li)
+{
+    SystemConfig cfg = testConfig();
+    cfg.fault = quietFaults();
+    cfg.fault.leaseNs = 20'000.0;
+    cfg.fault.heartbeatIntervalNs = 4'000.0;
+    cfg.fault.metaJournalPages = 0;
+    addPaperMetaFaults(cfg.fault);   // no event fires without tick()
+    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    MultiHostSystem system(cfg, Scheme::pipmFull, wl, 1);
+    PipmState *pipm = system.pipmState();
+    const PageFrame page =
+        pageOf(pageBase(system.space().sharedMapping(0).frame));
+
+    Cycles now = 0;
+    auto read_page = [&](std::uint64_t p) {
+        for (unsigned l = 0; l < linesPerPage; ++l) {
+            system.access(0, 0, sharedRef(p, l, MemOp::read), now);
+            now += 100;
+        }
+    };
+    // Page 0 promotes and fills; streaming other pages evicts its clean
+    // lines into the local frame (case 1).
+    read_page(0);
+    for (std::uint64_t p = 8; p < 56; ++p)
+        read_page(p);
+    EXPECT_TRUE(pipm->lineMigrated(0, page, li));
+    system.access(0, 0, sharedRef(0, li, MemOp::write), now, 4'242);
+    EXPECT_EQ(system.hierarchy(0).stateOf(homeLine(system, 0, li)),
+              HostState::ME);
+
+    system.crashHost(0, now + 100);
+    if (quarantine)
+        EXPECT_TRUE(pipm->corruptLocalEntry(0, page, 0x1, true));
+    system.suspectHost(0, now + 200);
+    EXPECT_FALSE(pipm->hasLocalEntry(0, page));
+    return system.lostLines();
+}
+
+TEST(CrashRemap, ForceReclaimCountsDeadOwnersPendingValueLikeTheSweep)
+{
+    // The §12 force-reclaim of a dead host's page once read only the
+    // local frame, which equals the home here, and missed the ME value
+    // the host died with; the §8 sweep counted it lost.
+    ThrowOnErrorGuard guard;
+    const unsigned li = 5;
+    const std::vector<LineAddr> swept = lostAfterLeaseCrash(false, li);
+    ASSERT_EQ(swept.size(), 1u);
+    EXPECT_EQ(lostAfterLeaseCrash(true, li), swept);
+}
+
 // ---- Rejoin and epochs --------------------------------------------------
 
 TEST(CrashRejoin, ColdStructuresAndStaleEpochRejection)
@@ -704,6 +764,21 @@ TEST(CrashAcceptance, EnvKnobRunsPeriodicInvariantChecks)
                                       shortRun());
     unsetenv("PIPM_CHECK_INVARIANTS");
     EXPECT_GT(r.hostCrashes, 0u);
+}
+
+TEST(CrashAcceptance, NaiveCoherenceSweepSkipsUnsweptOwners)
+{
+    // The naive-mode sweep once synced a migrated line from its
+    // directory owner's cache without checking that the owner was alive;
+    // a dead-but-unswept owner caches nothing, and the run panicked.
+    ThrowOnErrorGuard guard;
+    SystemConfig cfg = testConfig();
+    cfg.fault = paperSuspicionFaultConfig(9);
+    auto wl = smallWorkload();
+    RunResult r;
+    EXPECT_NO_THROW(
+        r = runExperiment(cfg, Scheme::pipmNaive, *wl, shortRun()));
+    EXPECT_GT(r.suspicions, 0u);
 }
 
 TEST(CrashAcceptance, CombinedFailureClassesUnderInvariantChecks)

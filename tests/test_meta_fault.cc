@@ -403,6 +403,23 @@ TEST(MetaSchedules, ComposesWithCrashAndSuspicionSchedules)
     EXPECT_GT(r.metaCorruptions, 0u);
 }
 
+TEST(MetaSchedules, NaiveCoherenceNeverCachesAPoisonedLine)
+{
+    // An unrepairable directory entry poisons its line. Under naive
+    // coherence a migrated line's memory copy lived in a local frame and
+    // the redirect kept filling the poisoned line into caches.
+    ThrowOnErrorGuard guard;
+    SystemConfig cfg = testConfig();
+    cfg.fault = paperSuspicionFaultConfig(5);
+    addPaperMetaFaults(cfg.fault, 2'000.0);
+    auto wl = smallWorkload();
+    RunConfig run = shortRun();
+    run.seed = 5;
+    RunResult r;
+    EXPECT_NO_THROW(r = runExperiment(cfg, Scheme::pipmNaive, *wl, run));
+    EXPECT_GT(r.degradedAccesses, 0u);
+}
+
 TEST(MetaSchedules, SameSeedCheckerCountsAreDeterministic)
 {
     SystemConfig cfg = testConfig();
