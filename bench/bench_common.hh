@@ -38,7 +38,7 @@
  * resolution. Sweep::run() and cachedRun() clear the export path: cached
  * experiments may not re-run at all, and parallel sweep workers must not
  * race on a single output file. Direct runExperiment() callers
- * (obs_report, perf_throughput) do export.
+ * (obs_report) do export.
  */
 
 #ifndef PIPM_BENCH_COMMON_HH

@@ -104,6 +104,16 @@ DeviceDirectory::corruptionOf(LineAddr line) const
 }
 
 void
+DeviceDirectory::removeSharer(LineAddr line, HostId h)
+{
+    if (DirEntry *e = lookup(line)) {
+        e->remove(h);
+        if (e->sharers == 0)
+            deallocate(line);
+    }
+}
+
+void
 DeviceDirectory::forEach(
     const std::function<void(LineAddr, const DirEntry &)> &fn) const
 {

@@ -104,6 +104,10 @@ class DeviceDirectory
     /** Drop the entry for a line (last sharer gone / migrated to I'). */
     std::optional<DirEntry> deallocate(LineAddr line);
 
+    /** Drop h from a line's sharers, and the entry with its last sharer
+     *  (no-op for an untracked line). */
+    void removeSharer(LineAddr line, HostId h);
+
     /**
      * Visit every tracked line. Used by the crash sweep (collect the
      * lines referencing a dead host, then mutate via lookup/deallocate)

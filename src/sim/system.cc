@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <utility>
 
 #include "common/logging.hh"
 #include "migration/hemem.hh"
@@ -159,8 +160,6 @@ MultiHostSystem::MultiHostSystem(const SystemConfig &cfg, Scheme scheme,
         }
     }
 
-    fastPrivate_ = !cfg.tlb.enabled;
-
     if (usesPipmMechanism(scheme)) {
         globalRemap_ = std::make_unique<RemapCache>(
             cfg.pipm.globalCacheBytes, 2, cfg.pipm.globalCacheWays,
@@ -262,43 +261,16 @@ MultiHostSystem::setPageMigrationAllowed(std::uint64_t shared_idx,
         performRevocation(pipm_->migratedHostOf(page), page, 0);
 }
 
-Cycles
-MultiHostSystem::takePendingStall(HostId h, CoreId c)
-{
-    Cycles &slot = hosts_[h].pendingStall[c];
-    const Cycles out = slot;
-    slot = 0;
-    return out;
-}
-
 AccessResult
 MultiHostSystem::access(HostId h, CoreId c, const MemRef &ref,
                         Cycles now_in, std::uint64_t write_data)
 {
-    // Private-reference fast path (DESIGN.md §9): with no TLB modelled
-    // a private access touches only this host's own hierarchy — skip
-    // the virtual-namespace and shared-path plumbing below. Counters
-    // and panics match the general path exactly.
-    if (!ref.shared && fastPrivate_) {
-        panic_if(h >= cfg_.numHosts, "host id out of range");
-        panic_if(!hostAlive_[h], "access issued by crashed host ", int(h));
-        demandAccesses.inc();
-        const Cycles stall = takePendingStall(h, c);
-        const PhysAddr pa = space_->privateAddr(
-            h, ref.page * pageBytes +
-                   static_cast<std::uint64_t>(ref.lineIdx) * lineBytes);
-        std::uint64_t data = 0;
-        const Cycles lat = localAccess(h, c, pa, ref.op, now_in + stall,
-                                       write_data, &data);
-        return {lat, stall, data};
-    }
-
-    Cycles now = now_in;
     panic_if(h >= cfg_.numHosts, "host id out of range");
     panic_if(!hostAlive_[h], "access issued by crashed host ", int(h));
     demandAccesses.inc();
-    const Cycles stall = takePendingStall(h, c);
-    now += stall;
+    // Any pending kernel stall of the core is charged first.
+    const Cycles stall = std::exchange(hosts_[h].pendingStall[c], 0);
+    const Cycles now = now_in + stall;
     Cycles lat = 0;
     std::uint64_t data = 0;
 
@@ -328,28 +300,25 @@ MultiHostSystem::access(HostId h, CoreId c, const MemRef &ref,
         pageBase(mapping.frame) +
         static_cast<PhysAddr>(ref.lineIdx) * lineBytes;
 
-    if (scheme_ == Scheme::localOnly) {
-        lat += idealAccess(h, c, pa, ref.op, now, write_data, &data);
-        return {lat, stall, data};
-    }
-
-    if (mapping.gimHost == invalidHost) {
-        lat += cxlAccess(h, c, idx, pa, ref.op, now, write_data,
-                         &data);
-    } else if (mapping.gimHost == h) {
-        // OS-migrated page owned by this host: plain local access.
+    if (scheme_ == Scheme::localOnly || mapping.gimHost == h) {
+        // Served from this host's own DRAM: every shared line under the
+        // Local-only ideal, or an OS-migrated page this host owns.
         const auto before = hosts_[h].caches->misses.value();
-        lat += localAccess(h, c, pa, ref.op, now, write_data, &data);
+        const Cycles ll =
+            localAccess(h, c, pa, ref.op, now, write_data, &data);
+        lat += ll;
         if (hosts_[h].caches->misses.value() != before) {
             sharedLlcMisses.inc();
-            localServedMisses.inc();
-            avgSharedMissLatency.sample(static_cast<double>(lat));
-            avgLocalMissLatency.sample(static_cast<double>(lat));
+            // Only an owned GIM page's samples include the translation.
+            noteLocalServed(scheme_ == Scheme::localOnly ? ll : lat);
             if (osPolicy_)
                 osPolicy_->recordAccess(idx, h);
             if (harmful_)
                 harmful_->onLocalHit(idx);
         }
+    } else if (mapping.gimHost == invalidHost) {
+        lat += cxlAccess(h, c, idx, pa, ref.op, now, write_data,
+                         &data);
     } else {
         // Fig. 3: non-cacheable 4-hop inter-host access.
         const HostId gim_owner = mapping.gimHost;
@@ -371,10 +340,8 @@ MultiHostSystem::access(HostId h, CoreId c, const MemRef &ref,
         }
         if (gim_ok) {
             sharedLlcMisses.inc();
-            const Cycles gl = gimRemoteAccess(h, gim_owner, pa, ref.op,
-                                              now, write_data, &data);
-            lat += gl;
-            avgSharedMissLatency.sample(static_cast<double>(gl));
+            lat += gimRemoteAccess(h, gim_owner, pa, ref.op, now,
+                                   write_data, &data);
             if (osPolicy_)
                 osPolicy_->recordAccess(idx, h);
             if (harmful_)
@@ -407,60 +374,29 @@ MultiHostSystem::localAccess(HostId h, CoreId c, PhysAddr pa, MemOp op,
     }
 
     // Miss: local lines are host-exclusive (no cross-host coherence for
-    // local memory); fill in M.
+    // local memory, and the Local-only ideal deliberately models none
+    // for shared lines either); fill in M.
     Cycles lat = hier.l1RoundTrip() + hier.llcRoundTrip() +
                  cfg_.localDirectory.roundTrip;
-    lat += hosts_[h].dram->access(pa - cfg_.localBase(h), now, false);
-    const std::uint64_t data = mem_.read(line);
-    auto evs = hier.fillAccess(c, line, HostState::M, false, data,
-                               is_write, wdata);
-    handleEvictions(h, evs, now);
-    if (!is_write)
-        *rdata = data;
+    lat += hosts_[h].dram->access(localDramAddr(h, pa), now, false);
+    fill(h, c, line, HostState::M, mem_.read(line), is_write, wdata, now,
+         rdata);
     return lat;
 }
 
-Cycles
-MultiHostSystem::idealAccess(HostId h, CoreId c, PhysAddr pa, MemOp op,
-                             Cycles now, std::uint64_t wdata,
-                             std::uint64_t *rdata)
+void
+MultiHostSystem::fill(HostId h, CoreId c, LineAddr line, HostState state,
+                      std::uint64_t data, bool is_write,
+                      std::uint64_t wdata, Cycles now, std::uint64_t *rdata)
 {
-    // Upper-bound "Local-only": the shared line is served from this host's
-    // own DRAM with no coherence traffic. Cross-host data consistency is
-    // deliberately not modelled (it is an idealisation, §5.1.3).
-    CacheHierarchy &hier = *hosts_[h].caches;
-    const LineAddr line = lineOf(pa);
-    const bool is_write = op == MemOp::write;
-    const auto a = hier.cachedAccess(c, line, is_write, wdata);
-
-    if (a.level != HitLevel::miss) {
-        if (is_write && !a.completed) {
-            // Non-writable state: recordWrite carries the panic.
-            hier.recordWrite(c, line, wdata);
-        } else if (!is_write) {
-            *rdata = a.data;
-        }
-        return a.level == HitLevel::l1
-                   ? hier.l1RoundTrip()
-                   : hier.l1RoundTrip() + hier.llcRoundTrip();
-    }
-
-    sharedLlcMisses.inc();
-    localServedMisses.inc();
-    Cycles lat = hier.l1RoundTrip() + hier.llcRoundTrip() +
-                 cfg_.localDirectory.roundTrip;
-    const PhysAddr device_addr =
-        (pa - cfg_.cxlBase()) % cfg_.localBytesPerHost();
-    lat += hosts_[h].dram->access(device_addr, now, false);
-    const std::uint64_t data = mem_.read(line);
-    auto evs = hier.fillAccess(c, line, HostState::M, false, data,
-                               is_write, wdata);
-    handleEvictions(h, evs, now);
+    // A write sets the dirty bit in the fill itself, so `dirty` only
+    // matters for reads, which always fill clean.
+    const auto ev = hosts_[h].caches->fillAccess(c, line, state, is_write,
+                                                 data, is_write, wdata);
+    if (ev)
+        handleEviction(h, *ev, now);
     if (!is_write)
         *rdata = data;
-    avgSharedMissLatency.sample(static_cast<double>(lat));
-    avgLocalMissLatency.sample(static_cast<double>(lat));
-    return lat;
 }
 
 Cycles
@@ -505,10 +441,7 @@ MultiHostSystem::gimRemoteAccess(HostId h, HostId owner, PhysAddr pa,
     lat += hosts_[h].link->transfer(
         LinkDir::toHost, is_write ? CxlFlits::header : CxlFlits::data,
         now);
-
-    interHostAccesses.inc();
-    interHostStallCycles.inc(lat);
-    avgInterHostLatency.sample(static_cast<double>(lat));
+    noteInterHost(lat);
     return lat;
 }
 
@@ -590,10 +523,7 @@ MultiHostSystem::upgrade(HostId h, LineAddr line, Cycles now)
     panic_if(!entry->has(h), "upgrade: host not recorded as sharer");
 
     lat += invalidateSharers(h, line, *entry, now);
-    noteDirState(line, entry->state, DevState::M, h, now);
-    entry->state = DevState::M;
-    entry->sharers = 1u << h;
-    entry->ownerEpoch = epochOf(h);
+    grantM(line, *entry, h, now);
     lat += hosts_[h].link->transfer(LinkDir::toHost, CxlFlits::header,
                                     now);
     return lat;
@@ -602,37 +532,85 @@ MultiHostSystem::upgrade(HostId h, LineAddr line, Cycles now)
 void
 MultiHostSystem::dirAllocate(LineAddr line, DirEntry entry, Cycles now)
 {
-    auto recall = deviceDir_.allocate(line, entry);
-    if (recall)
-        handleRecall(*recall, now);
+    // The recall is off the demand critical path.
+    if (const auto recall = deviceDir_.allocate(line, entry))
+        recallLine(recall->line, recall->entry, now, false);
 }
 
-void
-MultiHostSystem::handleRecall(const DeviceDirectory::Recall &recall,
-                              Cycles now)
+Cycles
+MultiHostSystem::recallLine(LineAddr line, const DirEntry &entry,
+                            Cycles now, bool skip_dead)
 {
-    // Invalidate the victim line at every sharer; dirty data is written
-    // back to CXL memory. All of this is off the demand critical path.
-    // A victim owned in M by a dead-but-unreclaimed host cannot write
+    // A line owned in M by a dead-but-unreclaimed host cannot write
     // back: account the loss before the entry evaporates.
-    noteDeadOwnedDrop(recall.line, recall.entry);
+    noteDeadOwnedDrop(line, entry);
+    Cycles lat = 0;
     for (unsigned s = 0; s < cfg_.numHosts; ++s) {
         const auto sh = static_cast<HostId>(s);
-        if (!recall.entry.has(sh))
+        if (!entry.has(sh) || (skip_dead && !hostAlive_[sh]))
             continue;
-        hosts_[sh].link->transfer(LinkDir::toHost, CxlFlits::header, now);
-        auto ev = hosts_[sh].caches->invalidateLine(recall.line);
+        lat += hosts_[sh].link->transfer(LinkDir::toHost, CxlFlits::header,
+                                         now);
+        const auto ev = hosts_[sh].caches->invalidateLine(line);
         if (ev && ev->dirty) {
-            mem_.write(recall.line, ev->data);
             hosts_[sh].link->transfer(LinkDir::toDevice, CxlFlits::data,
                                       now);
-            cxlDram_.access(lineBase(recall.line) - cfg_.cxlBase(), now,
-                            true);
+            writeMemCopy(line, ev->data, sh, now);
         } else {
             hosts_[sh].link->transfer(LinkDir::toDevice, CxlFlits::header,
                                       now);
         }
     }
+    return lat;
+}
+
+MultiHostSystem::MemCopy
+MultiHostSystem::memCopyOf(LineAddr line) const
+{
+    if (!naiveCoherence_)
+        return {invalidHost, line};
+    const PageFrame page = pageOfLine(line);
+    const auto li = static_cast<unsigned>(line & (linesPerPage - 1));
+    const HostId mh = pipm_->migratedHostOf(page);
+    if (mh == invalidHost || !pipm_->lineMigrated(mh, page, li))
+        return {invalidHost, line};
+    return {mh, lineOf(pipm_->localLineAddr(mh, page, li))};
+}
+
+Cycles
+MultiHostSystem::readMemCopy(LineAddr line, Cycles now,
+                             std::uint64_t *data)
+{
+    Cycles lat = cxlDram_.access(lineBase(line) - cfg_.cxlBase(), now,
+                                 false);
+    const MemCopy mc = memCopyOf(line);
+    if (!mc.home()) {
+        // Naive redirect: the bit sends the device on to the owner's
+        // frame (extra hops, Fig. 8).
+        CxlLink &link = *hosts_[mc.host].link;
+        lat += link.transfer(LinkDir::toHost, CxlFlits::header, now);
+        lat += hosts_[mc.host].dram->access(
+            lineBase(mc.line) - cfg_.localBase(mc.host), now, false);
+        lat += link.transfer(LinkDir::toDevice, CxlFlits::data, now);
+    }
+    *data = mem_.read(mc.line);
+    return lat;
+}
+
+void
+MultiHostSystem::writeMemCopy(LineAddr line, std::uint64_t data,
+                              HostId from, Cycles now)
+{
+    const MemCopy mc = memCopyOf(line);
+    mem_.write(mc.line, data);
+    if (mc.home()) {
+        cxlDram_.access(lineBase(line) - cfg_.cxlBase(), now, true);
+        return;
+    }
+    if (mc.host != from)
+        hosts_[mc.host].link->transfer(LinkDir::toHost, CxlFlits::data, now);
+    hosts_[mc.host].dram->access(lineBase(mc.line) - cfg_.localBase(mc.host),
+                                 now, true);
 }
 
 Cycles
@@ -699,16 +677,10 @@ MultiHostSystem::cxlAccess(HostId h, CoreId c, std::uint64_t shared_idx,
             const PhysAddr lpa = pipm_->localLineAddr(h, page, li);
             lat += hosts_[h].dram->access(lpa - cfg_.localBase(h),
                                           now, false);
-            const std::uint64_t data = mem_.read(lineOf(lpa));
             pipm_->localOwnerAccess(h, page);
-            auto evs = hier.fillAccess(c, line, HostState::ME, false, data,
-                                       is_write, wdata);
-            handleEvictions(h, evs, now);
-            if (!is_write)
-                *rdata = data;
-            localServedMisses.inc();
-            avgSharedMissLatency.sample(static_cast<double>(lat));
-            avgLocalMissLatency.sample(static_cast<double>(lat));
+            fill(h, c, line, HostState::ME, mem_.read(lineOf(lpa)),
+                 is_write, wdata, now, rdata);
+            noteLocalServed(lat);
             return lat;
         }
         if (pipm_->hasLocalEntry(h, page)) {
@@ -743,39 +715,36 @@ MultiHostSystem::cxlAccess(HostId h, CoreId c, std::uint64_t shared_idx,
                            h);
         }
         if (vote.promoted) {
-            if (detection_ && !hostAlive_[vote.promotedTo]) {
-                // Votes cast before the winner was fenced can still fire
-                // (oracle mode clears them synchronously at the crash;
-                // the detector cannot). Roll the setup back like an
-                // aborted promotion — no line has migrated yet.
-                pipm_->abortPromotion(vote.promotedTo, page);
-                faults_->promotionAborts.inc();
-                if (trace_) {
-                    trace_->record(ObsEventType::promotionAbort, now,
-                                   page, vote.promotedTo);
+            const HostId to = vote.promotedTo;
+            // Votes cast before the winner was fenced can still fire
+            // (oracle mode clears them synchronously at the crash; the
+            // detector cannot): roll the setup back like an aborted
+            // promotion. Otherwise the setup (frame allocation + table
+            // install) may be interrupted mid-flight. Either way no line
+            // has migrated yet, so the rollback restores the exact
+            // pre-vote state.
+            const bool fenced = detection_ && !hostAlive_[to];
+            const bool aborted =
+                fenced || (faults_ && faults_->abortPromotion());
+            if (aborted) {
+                pipm_->abortPromotion(to, page);
+                if (fenced) {
+                    faults_->promotionAborts.inc();
+                } else {
+                    // The interrupted setup still costs two header
+                    // round-trips on the would-be owner's link.
+                    hosts_[to].link->transfer(LinkDir::toHost,
+                                              CxlFlits::header, now);
+                    hosts_[to].link->transfer(LinkDir::toDevice,
+                                              CxlFlits::header, now);
                 }
-            } else if (faults_ && faults_->abortPromotion()) {
-                // The promotion setup (frame allocation + table install)
-                // was interrupted mid-flight: roll everything back. No
-                // line has migrated yet, so the rollback restores the
-                // exact pre-vote state; the aborted setup still costs
-                // two header round-trips on the would-be owner's link.
-                pipm_->abortPromotion(vote.promotedTo, page);
-                hosts_[vote.promotedTo].link->transfer(
-                    LinkDir::toHost, CxlFlits::header, now);
-                hosts_[vote.promotedTo].link->transfer(
-                    LinkDir::toDevice, CxlFlits::header, now);
-                if (trace_) {
-                    trace_->record(ObsEventType::promotionAbort, now,
-                                   page, vote.promotedTo);
-                }
-            } else {
-                if (hosts_[vote.promotedTo].localRemap)
-                    hosts_[vote.promotedTo].localRemap->invalidate(page);
-                if (trace_) {
-                    trace_->record(ObsEventType::promotion, now, page,
-                                   vote.promotedTo);
-                }
+            } else if (hosts_[to].localRemap) {
+                hosts_[to].localRemap->invalidate(page);
+            }
+            if (trace_) {
+                trace_->record(aborted ? ObsEventType::promotionAbort
+                                       : ObsEventType::promotion,
+                               now, page, to);
             }
         }
     }
@@ -826,29 +795,12 @@ MultiHostSystem::cxlAccess(HostId h, CoreId c, std::uint64_t shared_idx,
         const std::uint64_t data = ohier.dataOf(line);
         if (is_write) {
             ohier.invalidateLine(line);
-            noteDirState(line, DevState::M, DevState::M, h, now);
-            entry->state = DevState::M;
-            entry->sharers = 1u << h;
-            entry->ownerEpoch = epochOf(h);
+            grantM(line, *entry, h, now);
         } else {
+            // The downgrade writes the latest data back to memory.
             ohier.setState(line, HostState::S);
             ohier.markClean(line);
-            // The downgrade writes the latest data back to memory — the
-            // line's local frame when the naive in-memory bit is set,
-            // CXL memory otherwise.
-            const HostId bit_host =
-                naiveCoherence_ ? pipm_->migratedHostOf(page) : invalidHost;
-            if (bit_host != invalidHost &&
-                pipm_->lineMigrated(bit_host, page, li)) {
-                const PhysAddr lpa =
-                    pipm_->localLineAddr(bit_host, page, li);
-                mem_.write(lineOf(lpa), data);
-                hosts_[bit_host].dram->access(
-                    lpa - cfg_.localBase(bit_host), now, true);
-            } else {
-                mem_.write(line, data);
-                cxlDram_.access(pa - cfg_.cxlBase(), now, true);
-            }
+            writeMemCopy(line, data, owner, now);
             noteDirState(line, DevState::M, DevState::S, h, now);
             entry->state = DevState::S;
             entry->sharers |= 1u << h;
@@ -857,90 +809,27 @@ MultiHostSystem::cxlAccess(HostId h, CoreId c, std::uint64_t shared_idx,
                                             CxlFlits::data, now);
         lat += hosts_[h].link->transfer(LinkDir::toHost, CxlFlits::data,
                                         now);
-
-        auto evs = hier.fillAccess(c, line,
-                                   is_write ? HostState::M : HostState::S,
-                                   is_write, data, is_write, wdata);
-        handleEvictions(h, evs, now);
-        if (!is_write)
-            *rdata = data;
-
-        interHostAccesses.inc();
-        interHostStallCycles.inc(lat);
-        avgInterHostLatency.sample(static_cast<double>(lat));
-        avgSharedMissLatency.sample(static_cast<double>(lat));
+        fill(h, c, line, is_write ? HostState::M : HostState::S, data,
+             is_write, wdata, now, rdata);
+        noteInterHost(lat);
         return lat;
     }
 
     if (entry && entry->state == DevState::S) {
-        if (!is_write) {
-            lat += cxlDram_.access(pa - cfg_.cxlBase(), now, false);
-            std::uint64_t data;
-            const HostId bit_host =
-                naiveCoherence_ ? pipm_->migratedHostOf(page) : invalidHost;
-            if (bit_host != invalidHost &&
-                pipm_->lineMigrated(bit_host, page, li)) {
-                // Naive redirect: the bit says the memory copy lives in
-                // bit_host's local DRAM (extra hops, Fig. 8).
-                lat += hosts_[bit_host].link->transfer(
-                    LinkDir::toHost, CxlFlits::header, now);
-                lat += hosts_[bit_host].dram->access(
-                    pipm_->localLineAddr(bit_host, page, li) -
-                        cfg_.localBase(bit_host),
-                    now, false);
-                lat += hosts_[bit_host].link->transfer(
-                    LinkDir::toDevice, CxlFlits::data, now);
-                data = mem_.read(
-                    lineOf(pipm_->localLineAddr(bit_host, page, li)));
-            } else {
-                data = mem_.read(line);
-            }
-            entry->add(h);
-            lat += hosts_[h].link->transfer(LinkDir::toHost,
-                                            CxlFlits::data, now);
-            auto evs = hier.fillAccess(c, line, HostState::S, false, data,
-                                       false, 0);
-            handleEvictions(h, evs, now);
-            *rdata = data;
-            cxlServedMisses.inc();
-            avgSharedMissLatency.sample(static_cast<double>(lat));
-            avgCxlMissLatency.sample(static_cast<double>(lat));
-            return lat;
-        }
-        // Write miss on a shared line: invalidate every sharer.
-        lat += invalidateSharers(h, line, *entry, now);
-        lat += cxlDram_.access(pa - cfg_.cxlBase(), now, false);
+        // A write miss on a shared line invalidates every other sharer.
+        if (is_write)
+            lat += invalidateSharers(h, line, *entry, now);
         std::uint64_t data;
-        const HostId wbit_host =
-            naiveCoherence_ ? pipm_->migratedHostOf(page) : invalidHost;
-        if (wbit_host != invalidHost &&
-            pipm_->lineMigrated(wbit_host, page, li)) {
-            // Naive redirect: the memory copy lives in the owner's
-            // local frame.
-            lat += hosts_[wbit_host].link->transfer(
-                LinkDir::toHost, CxlFlits::header, now);
-            const PhysAddr lpa =
-                pipm_->localLineAddr(wbit_host, page, li);
-            lat += hosts_[wbit_host].dram->access(
-                lpa - cfg_.localBase(wbit_host), now, false);
-            lat += hosts_[wbit_host].link->transfer(
-                LinkDir::toDevice, CxlFlits::data, now);
-            data = mem_.read(lineOf(lpa));
-        } else {
-            data = mem_.read(line);
-        }
-        noteDirState(line, DevState::S, DevState::M, h, now);
-        entry->state = DevState::M;
-        entry->sharers = 1u << h;
-        entry->ownerEpoch = epochOf(h);
+        lat += readMemCopy(line, now, &data);
+        if (is_write)
+            grantM(line, *entry, h, now);
+        else
+            entry->add(h);
         lat += hosts_[h].link->transfer(LinkDir::toHost, CxlFlits::data,
                                         now);
-        auto evs = hier.fillAccess(c, line, HostState::M, true, data,
-                                   true, wdata);
-        handleEvictions(h, evs, now);
-        cxlServedMisses.inc();
-        avgSharedMissLatency.sample(static_cast<double>(lat));
-        avgCxlMissLatency.sample(static_cast<double>(lat));
+        fill(h, c, line, is_write ? HostState::M : HostState::S, data,
+             is_write, wdata, now, rdata);
+        noteCxlServed(lat);
         return lat;
     }
 
@@ -956,63 +845,48 @@ MultiHostSystem::cxlAccess(HostId h, CoreId c, std::uint64_t shared_idx,
         if (!aw.ok)
             mh = pipm_->migratedHostOf(page);
     }
-    if (naiveCoherence_ && mh != invalidHost &&
-        pipm_->lineMigrated(mh, page, li)) {
+    if (const MemCopy mc = memCopyOf(line); !mc.home()) {
         // Naive coherence (Fig. 8): the directory yielded nothing, so
         // the device examines the in-memory bit (a CXL memory read) and
         // redirects the request to the bit owner's local DRAM. The bit
         // stays set — no incremental migration exists in this design —
         // and even the owner itself pays the full device round trip,
         // which is precisely the inefficiency §4.3.1 identifies.
+        const HostId bh = mc.host;
+        const PhysAddr frame_addr = lineBase(mc.line) - cfg_.localBase(bh);
         lat += cxlDram_.access(pa - cfg_.cxlBase(), now, false);
-        const PhysAddr lpa = pipm_->localLineAddr(mh, page, li);
         std::uint64_t data;
-        if (mh == h) {
+        if (bh == h) {
             // Redirect back to the requester's own local memory.
             lat += hosts_[h].link->transfer(LinkDir::toHost,
                                             CxlFlits::header, now);
-            lat += hosts_[h].dram->access(lpa - cfg_.localBase(h), now,
-                                          false);
-            data = mem_.read(lineOf(lpa));
+            lat += hosts_[h].dram->access(frame_addr, now, false);
+            data = mem_.read(mc.line);
             pipm_->localOwnerAccess(h, page);
-            localServedMisses.inc();
         } else {
             lat += globalRemapLookup(page, now);
-            lat += hosts_[mh].link->transfer(LinkDir::toHost,
+            lat += hosts_[bh].link->transfer(LinkDir::toHost,
                                              CxlFlits::header, now);
-            lat += hosts_[mh].dram->access(lpa - cfg_.localBase(mh),
-                                           now, !is_write);
-            data = is_write ? wdata : mem_.read(lineOf(lpa));
-            lat += hosts_[mh].link->transfer(LinkDir::toDevice,
+            lat += hosts_[bh].dram->access(frame_addr, now, !is_write);
+            data = is_write ? wdata : mem_.read(mc.line);
+            lat += hosts_[bh].link->transfer(LinkDir::toDevice,
                                              CxlFlits::data, now);
             lat += hosts_[h].link->transfer(LinkDir::toHost,
                                             CxlFlits::data, now);
-            interHostAccesses.inc();
-            interHostStallCycles.inc(lat);
-            avgInterHostLatency.sample(static_cast<double>(lat));
         }
         const InterHostOutcome ih =
-            mh == h ? InterHostOutcome{}
-                    : pipm_->interHostAccess(mh, page);
-        DirEntry ne;
-        ne.state = DevState::M;
-        ne.sharers = 1u << h;
-        ne.ownerEpoch = epochOf(h);
-        dirAllocate(line, ne, now);
-        auto evs = hier.fillAccess(c, line, HostState::M, is_write, data,
-                                   is_write, wdata);
-        handleEvictions(h, evs, now);
-        if (!is_write)
-            *rdata = data;
+            bh == h ? InterHostOutcome{} : pipm_->interHostAccess(bh, page);
+        allocateM(line, h, now);
+        fill(h, c, line, HostState::M, data, is_write, wdata, now, rdata);
         if (ih.revoked)
-            performRevocation(mh, page, now);
-        avgSharedMissLatency.sample(static_cast<double>(lat));
-        if (mh == h)
-            avgLocalMissLatency.sample(static_cast<double>(lat));
+            performRevocation(bh, page, now);
+        if (bh == h)
+            noteLocalServed(lat);
+        else
+            noteInterHost(lat);
         return lat;
     }
-    if (pipm_ && !naiveCoherence_ && mh != invalidHost && mh != h &&
-        pipm_->lineMigrated(mh, page, li)) {
+    if (mh != invalidHost && mh != h && pipm_->lineMigrated(mh, page, li)) {
         // Cases 2/5/6: inter-host access to a line migrated into host mh.
         lat += globalRemapLookup(page, now);
         // The device reads CXL memory to verify the I' in-memory bit.
@@ -1059,37 +933,21 @@ MultiHostSystem::cxlAccess(HostId h, CoreId c, std::uint64_t shared_idx,
         // Local-counter decrement; revoke the whole page at zero.
         const InterHostOutcome ih = pipm_->interHostAccess(mh, page);
 
-        DirEntry ne;
-        if (is_write) {
-            ne.state = DevState::M;
-            ne.sharers = 1u << h;
+        if (owner_keeps_s) {
+            dirAllocate(line,
+                        DirEntry{DevState::S, (1u << h) | (1u << mh),
+                                 epochOf(h)},
+                        now);
         } else {
-            ne.state = owner_keeps_s ? DevState::S : DevState::M;
-            ne.sharers = 1u << h;
-            if (owner_keeps_s)
-                ne.sharers |= 1u << mh;
+            allocateM(line, h, now);
         }
-        ne.ownerEpoch = epochOf(h);
-        dirAllocate(line, ne, now);
-
         lat += hosts_[h].link->transfer(LinkDir::toHost, CxlFlits::data,
                                         now);
-        const HostState fill_state =
-            is_write ? HostState::M
-                     : (owner_keeps_s ? HostState::S : HostState::M);
-        auto evs = hier.fillAccess(c, line, fill_state, is_write, data,
-                                   is_write, wdata);
-        handleEvictions(h, evs, now);
-        if (!is_write)
-            *rdata = data;
-
+        fill(h, c, line, owner_keeps_s ? HostState::S : HostState::M, data,
+             is_write, wdata, now, rdata);
         if (ih.revoked)
             performRevocation(mh, page, now);
-
-        interHostAccesses.inc();
-        interHostStallCycles.inc(lat);
-        avgInterHostLatency.sample(static_cast<double>(lat));
-        avgSharedMissLatency.sample(static_cast<double>(lat));
+        noteInterHost(lat);
         return lat;
     }
 
@@ -1119,9 +977,7 @@ MultiHostSystem::cxlAccess(HostId h, CoreId c, std::uint64_t shared_idx,
                                h);
             }
             lat += degradedLineAccess(h, line, pa, op, now, wdata, rdata);
-            cxlServedMisses.inc();
-            avgSharedMissLatency.sample(static_cast<double>(lat));
-            avgCxlMissLatency.sample(static_cast<double>(lat));
+            noteCxlServed(lat);
             return lat;
           case PoisonState::clean:
             break;
@@ -1133,19 +989,9 @@ MultiHostSystem::cxlAccess(HostId h, CoreId c, std::uint64_t shared_idx,
     // MESI-style exclusive grant: no other sharer, so the line fills
     // writable (M, possibly clean) — this is what makes read-mostly lines
     // eligible for incremental migration on eviction (case 1).
-    DirEntry ne;
-    ne.state = DevState::M;
-    ne.sharers = 1u << h;
-    ne.ownerEpoch = epochOf(h);
-    dirAllocate(line, ne, now);
-    auto evs = hier.fillAccess(c, line, HostState::M, is_write, data,
-                               is_write, wdata);
-    handleEvictions(h, evs, now);
-    if (!is_write)
-        *rdata = data;
-    cxlServedMisses.inc();
-    avgSharedMissLatency.sample(static_cast<double>(lat));
-    avgCxlMissLatency.sample(static_cast<double>(lat));
+    allocateM(line, h, now);
+    fill(h, c, line, HostState::M, data, is_write, wdata, now, rdata);
+    noteCxlServed(lat);
     return lat;
 }
 
@@ -1208,18 +1054,11 @@ MultiHostSystem::performRevocation(HostId owner, PageFrame page, Cycles now)
         if (!pipm_->lineMigrated(owner, page, li))
             continue;
         const LineAddr line = lineOf(base + li * lineBytes);
+        const auto ev =
+            naiveCoherence_ ? std::nullopt : ohier.invalidateLine(line);
         std::uint64_t data;
-        if (!naiveCoherence_) {
-            auto ev = ohier.invalidateLine(line);
-            if (ev) {
-                data = ev->data;
-            } else {
-                const PhysAddr lpa =
-                    pipm_->localLineAddr(owner, page, li);
-                hosts_[owner].dram->access(lpa - cfg_.localBase(owner),
-                                           now, false);
-                data = mem_.read(lineOf(lpa));
-            }
+        if (ev) {
+            data = ev->data;
         } else {
             const PhysAddr lpa = pipm_->localLineAddr(owner, page, li);
             hosts_[owner].dram->access(lpa - cfg_.localBase(owner), now,
@@ -1247,149 +1086,97 @@ MultiHostSystem::handleEviction(HostId h,
                                 const CacheHierarchy::Eviction &ev,
                                 Cycles now)
 {
-    {
-        const PhysAddr pa = lineBase(ev.line);
-
-        if (scheme_ == Scheme::localOnly) {
-            if (ev.dirty) {
-                mem_.write(ev.line, ev.data);
-                const PhysAddr device_addr =
-                    cfg_.regionOf(pa) == AddrRegion::cxlPool
-                        ? (pa - cfg_.cxlBase()) % cfg_.localBytesPerHost()
-                        : pa - cfg_.localBase(h);
-                hosts_[h].dram->access(device_addr, now, true);
-            }
-            return;
-        }
-
-        if (cfg_.regionOf(pa) == AddrRegion::hostLocal) {
-            // Private data or a GIM page owned by this host.
-            if (ev.dirty) {
-                mem_.write(ev.line, ev.data);
-                hosts_[h].dram->access(pa - cfg_.localBase(h), now, true);
-            }
-            return;
-        }
-
-        // CXL-DSM line.
-        const PageFrame page = pageOf(pa);
-        const unsigned li = lineInPage(pa);
-
-        if (metaFaults_) {
-            // §12: the eviction notifies (and possibly updates) the
-            // line's directory entry; the device validates it first.
-            // Evictions are off the demand critical path, so the repair
-            // latency is not charged to anyone.
-            metaGuardLine(ev.line, now);
-        }
-
-        if (ev.state == HostState::ME) {
-            // Case 4: ME -> I'. Only a local writeback if dirty; no
-            // device traffic at all.
-            if (ev.dirty) {
-                const PhysAddr lpa = pipm_->localLineAddr(h, page, li);
-                mem_.write(lineOf(lpa), ev.data);
-                hosts_[h].dram->access(lpa - cfg_.localBase(h), now, true);
-            }
-            return;
-        }
-
-        const HostId naive_owner =
-            naiveCoherence_ ? pipm_->migratedHostOf(page) : invalidHost;
-        if (naiveCoherence_ && ev.state == HostState::M &&
-            naive_owner != invalidHost &&
-            pipm_->lineMigrated(naive_owner, page, li)) {
-            // Naive coherence: the in-memory bit stays set, so the
-            // writeback is redirected to the line's local frame at the
-            // page's owner (possibly across the fabric).
-            if (ev.dirty) {
-                const PhysAddr lpa =
-                    pipm_->localLineAddr(naive_owner, page, li);
-                mem_.write(lineOf(lpa), ev.data);
-                hosts_[h].link->transfer(LinkDir::toDevice,
-                                         CxlFlits::data, now);
-                if (naive_owner != h) {
-                    hosts_[naive_owner].link->transfer(
-                        LinkDir::toHost, CxlFlits::data, now);
-                }
-                hosts_[naive_owner].dram->access(
-                    lpa - cfg_.localBase(naive_owner), now, true);
-            } else {
-                hosts_[h].link->transfer(LinkDir::toDevice,
-                                         CxlFlits::header, now);
-            }
-            if (DirEntry *entry = deviceDir_.lookup(ev.line)) {
-                entry->remove(h);
-                if (entry->sharers == 0)
-                    deviceDir_.deallocate(ev.line);
-            }
-            return;
-        }
-
-        if (pipm_ && ev.state == HostState::M &&
-            pipm_->migratedHostOf(page) == h &&
-            !pipm_->lineMigrated(h, page, li) &&
-            !(metaFaults_ &&
-              faults_->linePersistentlyPoisoned(ev.line))) {
-            // (The poison check above only exists in the §12 metadata
-            // fault domain: the guard may have just degraded this very
-            // line, and a poisoned line must never migrate — it is
-            // served uncacheably forever. Gating on metaFaults_ keeps
-            // the abort-draw position, and thus the fault RNG stream,
-            // identical in every other configuration.)
-            // The abort draw happens exactly when the old short-circuit
-            // drew it (after the three eligibility checks), so adding the
-            // trace hook does not shift the fault RNG stream.
-            if (faults_ && faults_->abortLineMigration()) {
-                if (trace_) {
-                    trace_->record(ObsEventType::lineAbort, now, ev.line,
-                                   h, li);
-                }
-                // Fall through to the normal eviction path: the safe
-                // completion of an aborted case-1 migration is the
-                // ordinary writeback to CXL memory.
-            } else {
-                // Case 1: incremental migration on local writeback. The
-                // data is written to the page's local frame instead of
-                // CXL memory; both in-memory bits flip and the device
-                // directory entry is released.
-                pipm_->setLineMigrated(h, page, li);
-                const PhysAddr lpa = pipm_->localLineAddr(h, page, li);
-                mem_.write(lineOf(lpa), ev.data);
-                hosts_[h].dram->access(lpa - cfg_.localBase(h), now,
-                                       true);
-                // The directory-release message doubles as the bit-flip
-                // notification; the CXL-side in-memory bit lives in ECC
-                // spare bits and is folded into the device's metadata
-                // handling (§4.3.1 footnote) — no data transfer, per
-                // §4.1.
-                hosts_[h].link->transfer(LinkDir::toDevice,
-                                         CxlFlits::header, now);
-                deviceDir_.deallocate(ev.line);
-                return;
-            }
-        }
-
-        // Normal eviction: dirty data (M) goes back to CXL memory; clean
-        // lines just notify the directory. An aborted case-1 line
-        // migration also lands here: the bit-flip never happened, so the
-        // safe completion is the ordinary writeback to CXL memory —
-        // neither copy is lost and no bit is left half-set.
-        if (ev.state == HostState::M && ev.dirty) {
+    const PhysAddr pa = lineBase(ev.line);
+    if (scheme_ == Scheme::localOnly ||
+        cfg_.regionOf(pa) == AddrRegion::hostLocal) {
+        // Private data, a GIM page owned by this host, or any line under
+        // the Local-only ideal: a local writeback if dirty.
+        if (ev.dirty) {
             mem_.write(ev.line, ev.data);
-            hosts_[h].link->transfer(LinkDir::toDevice, CxlFlits::data,
-                                     now);
-            cxlDram_.access(pa - cfg_.cxlBase(), now, true);
-        } else {
-            hosts_[h].link->transfer(LinkDir::toDevice, CxlFlits::header,
-                                     now);
+            hosts_[h].dram->access(localDramAddr(h, pa), now, true);
         }
-        if (DirEntry *entry = deviceDir_.lookup(ev.line)) {
-            entry->remove(h);
-            if (entry->sharers == 0)
-                deviceDir_.deallocate(ev.line);
+        return;
+    }
+
+    // CXL-DSM line.
+    const PageFrame page = pageOf(pa);
+    const unsigned li = lineInPage(pa);
+
+    if (metaFaults_) {
+        // §12: the eviction notifies (and possibly updates) the
+        // line's directory entry; the device validates it first.
+        // Evictions are off the demand critical path, so the repair
+        // latency is not charged to anyone.
+        metaGuardLine(ev.line, now);
+    }
+
+    if (ev.state == HostState::ME) {
+        // Case 4: ME -> I'. Only a local writeback if dirty; no
+        // device traffic at all.
+        if (ev.dirty) {
+            const PhysAddr lpa = pipm_->localLineAddr(h, page, li);
+            mem_.write(lineOf(lpa), ev.data);
+            hosts_[h].dram->access(lpa - cfg_.localBase(h), now, true);
+        }
+        return;
+    }
+
+    if (pipm_ && ev.state == HostState::M &&
+        pipm_->migratedHostOf(page) == h &&
+        !pipm_->lineMigrated(h, page, li) &&
+        !(metaFaults_ &&
+          faults_->linePersistentlyPoisoned(ev.line))) {
+        // (The poison check above only exists in the §12 metadata
+        // fault domain: the guard may have just degraded this very
+        // line, and a poisoned line must never migrate — it is
+        // served uncacheably forever. Gating on metaFaults_ keeps
+        // the abort-draw position, and thus the fault RNG stream,
+        // identical in every other configuration.)
+        // The abort draw happens exactly when the old short-circuit
+        // drew it (after the three eligibility checks), so adding the
+        // trace hook does not shift the fault RNG stream.
+        if (faults_ && faults_->abortLineMigration()) {
+            if (trace_) {
+                trace_->record(ObsEventType::lineAbort, now, ev.line,
+                               h, li);
+            }
+            // Fall through to the normal eviction path: the safe
+            // completion of an aborted case-1 migration is the
+            // ordinary writeback to CXL memory.
+        } else {
+            // Case 1: incremental migration on local writeback. The
+            // data is written to the page's local frame instead of
+            // CXL memory; both in-memory bits flip and the device
+            // directory entry is released.
+            pipm_->setLineMigrated(h, page, li);
+            const PhysAddr lpa = pipm_->localLineAddr(h, page, li);
+            mem_.write(lineOf(lpa), ev.data);
+            hosts_[h].dram->access(lpa - cfg_.localBase(h), now,
+                                   true);
+            // The directory-release message doubles as the bit-flip
+            // notification; the CXL-side in-memory bit lives in ECC
+            // spare bits and is folded into the device's metadata
+            // handling (§4.3.1 footnote) — no data transfer, per
+            // §4.1.
+            hosts_[h].link->transfer(LinkDir::toDevice,
+                                     CxlFlits::header, now);
+            deviceDir_.deallocate(ev.line);
+            return;
         }
     }
+
+    // Normal eviction: dirty data (M) goes back to the line's memory
+    // copy; clean lines just notify the directory. An aborted case-1
+    // line migration also lands here: the bit-flip never happened, so
+    // the safe completion is the ordinary writeback to CXL memory —
+    // neither copy is lost and no bit is left half-set.
+    if (ev.state == HostState::M && ev.dirty) {
+        hosts_[h].link->transfer(LinkDir::toDevice, CxlFlits::data, now);
+        writeMemCopy(ev.line, ev.data, h, now);
+    } else {
+        hosts_[h].link->transfer(LinkDir::toDevice, CxlFlits::header, now);
+    }
+    deviceDir_.removeSharer(ev.line, h);
 }
 
 void
@@ -1453,22 +1240,15 @@ void
 MultiHostSystem::processCrashEvents(Cycles now)
 {
     while (const CrashEvent *ev = faults_->nextCrashEvent(now)) {
-        if (detection_) {
-            // The detector can change liveness out from under the
-            // schedule: a false suspicion fences (kills) a host before
-            // its scheduled crash, and a fenced zombie readmits before
-            // its scheduled rejoin. Scheduled events that no longer
-            // apply are dropped instead of panicking.
-            if (ev->rejoin) {
-                if (!hostAlive_[ev->host])
-                    rejoinHost(ev->host, now);
-            } else {
-                if (hostAlive_[ev->host])
-                    crashHost(ev->host, now, ev->downUntil);
-            }
-        } else if (ev->rejoin) {
-            rejoinHost(ev->host, now);
-        } else {
+        // The detector can change liveness out from under the schedule:
+        // a false suspicion fences (kills) a host before its scheduled
+        // crash, and a fenced zombie readmits before its scheduled
+        // rejoin. Scheduled events that no longer apply are dropped
+        // instead of panicking; without the detector they always apply.
+        if (ev->rejoin) {
+            if (!detection_ || !hostAlive_[ev->host])
+                rejoinHost(ev->host, now);
+        } else if (!detection_ || hostAlive_[ev->host]) {
             crashHost(ev->host, now, ev->downUntil);
         }
     }
@@ -1690,10 +1470,7 @@ MultiHostSystem::reclaimHost(HostId h, Cycles now)
             if (lit != latest.end() && lit->second != mem_.read(line))
                 record_lost(line);
         } else {
-            DirEntry *e = deviceDir_.lookup(line);
-            e->remove(h);
-            if (e->sharers == 0)
-                deviceDir_.deallocate(line);
+            deviceDir_.removeSharer(line, h);
         }
     }
 
@@ -2009,41 +1786,23 @@ MultiHostSystem::resolveDirCorruption(LineAddr line, Cycles now)
     // The degraded path serves the CXL home, but under naive coherence a
     // migrated line's memory copy lives in its owner's local frame (and
     // the bit would keep redirecting, and caching, the poisoned line).
-    // A live owner pulls the line home first; a dead owner's line goes
-    // home in its reclaim sweep, which the next access to it forces.
-    const PageFrame page = pageOfLine(line);
-    const auto li = static_cast<unsigned>(line & (linesPerPage - 1));
-    const HostId mh =
-        naiveCoherence_ ? pipm_->migratedHostOf(page) : invalidHost;
-    if (mh != invalidHost && hostAlive_[mh] &&
-        pipm_->lineMigrated(mh, page, li)) {
-        const PhysAddr lpa = pipm_->localLineAddr(mh, page, li);
-        lat += hosts_[mh].dram->access(lpa - cfg_.localBase(mh), now, false);
-        mem_.write(line, mem_.read(lineOf(lpa)));
-        lat += hosts_[mh].link->transfer(LinkDir::toDevice, CxlFlits::data,
-                                         now);
+    // A live owner pulls the line home first. A dead owner's line goes
+    // home in its reclaim sweep, which the next access to it forces; a
+    // dirty copy recalled below follows the bit to the dead frame like
+    // any writeback to a dead host, and that sweep counts it lost.
+    if (const MemCopy mc = memCopyOf(line);
+        !mc.home() && hostAlive_[mc.host]) {
+        lat += hosts_[mc.host].dram->access(
+            lineBase(mc.line) - cfg_.localBase(mc.host), now, false);
+        mem_.write(line, mem_.read(mc.line));
+        lat += hosts_[mc.host].link->transfer(LinkDir::toDevice,
+                                              CxlFlits::data, now);
         lat += cxlDram_.access(lineBase(line) - cfg_.cxlBase(), now, true);
-        pipm_->clearLineMigrated(mh, page, li);
+        pipm_->clearLineMigrated(
+            mc.host, pageOfLine(line),
+            static_cast<unsigned>(line & (linesPerPage - 1)));
     }
-    const DirEntry snap = *entry;
-    noteDeadOwnedDrop(line, snap);
-    for (unsigned s = 0; s < cfg_.numHosts; ++s) {
-        const auto sh = static_cast<HostId>(s);
-        if (!snap.has(sh) || !hostAlive_[sh])
-            continue;
-        lat += hosts_[sh].link->transfer(LinkDir::toHost, CxlFlits::header,
-                                         now);
-        auto ev = hosts_[sh].caches->invalidateLine(line);
-        if (ev && ev->dirty) {
-            mem_.write(line, ev->data);
-            hosts_[sh].link->transfer(LinkDir::toDevice, CxlFlits::data,
-                                      now);
-            cxlDram_.access(lineBase(line) - cfg_.cxlBase(), now, true);
-        } else {
-            hosts_[sh].link->transfer(LinkDir::toDevice, CxlFlits::header,
-                                      now);
-        }
-    }
+    lat += recallLine(line, *entry, now, true);
     deviceDir_.deallocate(line);   // also lifts the quarantine
     faults_->poisonLineForever(line);
     faults_->metaUnrepairable.inc();
@@ -2189,6 +1948,25 @@ MultiHostSystem::flushSharedPage(std::uint64_t idx, Cycles now)
     (void)now;
 }
 
+PageFrame
+MultiHostSystem::finishPageMove(std::uint64_t idx, PageFrame old_frame,
+                                HostId placed_on)
+{
+    const PageFrame new_frame = space_->sharedMapping(idx).frame;
+    for (unsigned li = 0; li < linesPerPage; ++li) {
+        mem_.copyLine(lineOf(pageBase(old_frame) + li * lineBytes),
+                      lineOf(pageBase(new_frame) + li * lineBytes));
+    }
+    migratedTo_[idx] = placed_on;
+    // Remapping invalidates the page's translation at every core.
+    for (auto &host : hosts_) {
+        for (Tlb &t : host.tlbs)
+            t.shootdown(idx);
+    }
+    migrationTransferBytes.inc(pageBytes);
+    return new_frame;
+}
+
 bool
 MultiHostSystem::executePromotion(std::uint64_t idx, HostId target,
                                   Cycles now)
@@ -2201,25 +1979,14 @@ MultiHostSystem::executePromotion(std::uint64_t idx, HostId target,
     flushSharedPage(idx, now);
     if (!space_->migrateSharedToHost(idx, target))
         return false;
-    const PageFrame new_frame = space_->sharedMapping(idx).frame;
-    for (unsigned li = 0; li < linesPerPage; ++li) {
-        mem_.copyLine(lineOf(pageBase(old_frame) + li * lineBytes),
-                      lineOf(pageBase(new_frame) + li * lineBytes));
-    }
-    migratedTo_[idx] = target;
-    // Remapping invalidates the page's translation at every core.
-    for (auto &host : hosts_) {
-        for (Tlb &t : host.tlbs)
-            t.shootdown(idx);
-    }
+    const PageFrame new_frame = finishPageMove(idx, old_frame, target);
     // Page copy traffic: CXL read, link to the target host, local write.
-    const auto scaled =
-        static_cast<unsigned>(cfg_.osPageTransferBytes());
-    hosts_[target].link->transfer(LinkDir::toHost, scaled, now);
+    hosts_[target].link->transfer(
+        LinkDir::toHost, static_cast<unsigned>(cfg_.osPageTransferBytes()),
+        now);
     cxlDram_.access(pageBase(old_frame) - cfg_.cxlBase(), now, false);
     hosts_[target].dram->access(
         pageBase(new_frame) - cfg_.localBase(target), now, true);
-    migrationTransferBytes.inc(pageBytes);
     osMigrations.inc();
     if (trace_) {
         trace_->record(ObsEventType::osMigration, now, idx, target,
@@ -2239,23 +2006,13 @@ MultiHostSystem::executeDemotion(std::uint64_t idx, Cycles now)
     const PageFrame old_frame = space_->sharedMapping(idx).frame;
     flushSharedPage(idx, now);
     space_->demoteSharedToCxl(idx);
-    const PageFrame new_frame = space_->sharedMapping(idx).frame;
-    for (unsigned li = 0; li < linesPerPage; ++li) {
-        mem_.copyLine(lineOf(pageBase(old_frame) + li * lineBytes),
-                      lineOf(pageBase(new_frame) + li * lineBytes));
-    }
-    migratedTo_[idx] = invalidHost;
-    for (auto &host : hosts_) {
-        for (Tlb &t : host.tlbs)
-            t.shootdown(idx);
-    }
-    const auto scaled =
-        static_cast<unsigned>(cfg_.osPageTransferBytes());
-    hosts_[from].link->transfer(LinkDir::toDevice, scaled, now);
+    const PageFrame new_frame = finishPageMove(idx, old_frame, invalidHost);
+    hosts_[from].link->transfer(
+        LinkDir::toDevice, static_cast<unsigned>(cfg_.osPageTransferBytes()),
+        now);
     hosts_[from].dram->access(pageBase(old_frame) - cfg_.localBase(from),
                               now, false);
     cxlDram_.access(pageBase(new_frame) - cfg_.cxlBase(), now, true);
-    migrationTransferBytes.inc(pageBytes);
     osDemotions.inc();
     if (trace_) {
         trace_->record(ObsEventType::osDemotion, now, idx, from,

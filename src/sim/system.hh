@@ -287,7 +287,11 @@ class MultiHostSystem
 
     // ---- Access paths ---------------------------------------------------
 
-    /** Cacheable access to data homed in host h's own local DRAM. */
+    /**
+     * Cacheable access to a line held in host h's own DRAM: private
+     * data, a page OS-migrated to h, or — under the Local-only ideal — a
+     * shared line served with no coherence traffic (§5.1.3).
+     */
     Cycles localAccess(HostId h, CoreId c, PhysAddr pa, MemOp op,
                        Cycles now, std::uint64_t wdata,
                        std::uint64_t *rdata);
@@ -302,11 +306,6 @@ class MultiHostSystem
                      PhysAddr pa, MemOp op, Cycles now, std::uint64_t wdata,
                      std::uint64_t *rdata);
 
-    /** Ideal scheme: shared data served from the accessing host's DRAM. */
-    Cycles idealAccess(HostId h, CoreId c, PhysAddr pa, MemOp op,
-                       Cycles now, std::uint64_t wdata,
-                       std::uint64_t *rdata);
-
     /**
      * Degraded access to a persistently poisoned CXL line: the device
      * NAKs with poison, the host retries uncacheably. The line is never
@@ -318,6 +317,86 @@ class MultiHostSystem
                               MemOp op, Cycles now, std::uint64_t wdata,
                               std::uint64_t *rdata);
 
+    /**
+     * Finish a miss: fill `line` into core c's caches in `state` (a
+     * write completes in the fill), handle the LLC eviction the fill
+     * caused, and hand a read its value.
+     */
+    void fill(HostId h, CoreId c, LineAddr line, HostState state,
+              std::uint64_t data, bool is_write, std::uint64_t wdata,
+              Cycles now, std::uint64_t *rdata);
+
+    /** Host h's local-DRAM device address of `pa`: its own local frame,
+     *  or a shared CXL line folded into h's DRAM (Local-only ideal). */
+    PhysAddr
+    localDramAddr(HostId h, PhysAddr pa) const
+    {
+        return cfg_.regionOf(pa) == AddrRegion::cxlPool
+                   ? (pa - cfg_.cxlBase()) % cfg_.localBytesPerHost()
+                   : pa - cfg_.localBase(h);
+    }
+
+    /** A shared miss served by the requester's own DRAM. */
+    void
+    noteLocalServed(Cycles lat)
+    {
+        localServedMisses.inc();
+        avgSharedMissLatency.sample(static_cast<double>(lat));
+        avgLocalMissLatency.sample(static_cast<double>(lat));
+    }
+
+    /** A shared miss served by CXL memory. */
+    void
+    noteCxlServed(Cycles lat)
+    {
+        cxlServedMisses.inc();
+        avgSharedMissLatency.sample(static_cast<double>(lat));
+        avgCxlMissLatency.sample(static_cast<double>(lat));
+    }
+
+    /** A shared miss served by another host (its cache or DRAM). */
+    void
+    noteInterHost(Cycles lat)
+    {
+        interHostAccesses.inc();
+        interHostStallCycles.inc(lat);
+        avgInterHostLatency.sample(static_cast<double>(lat));
+        avgSharedMissLatency.sample(static_cast<double>(lat));
+    }
+
+    // ---- Where a line's memory copy lives (DESIGN.md §2b) ---------------
+
+    /** The location of a CXL line's memory copy. */
+    struct MemCopy
+    {
+        HostId host = invalidHost;   ///< frame owner; invalidHost: CXL home
+        LineAddr line = 0;           ///< the line that holds the copy
+
+        bool home() const { return host == invalidHost; }
+    };
+
+    /**
+     * Where `line`'s memory copy lives: its CXL home, or — under naive
+     * coherence while the in-memory bit is set — the bit owner's local
+     * frame (§4.3.1, Fig. 8). The single place that rule is decided.
+     */
+    MemCopy memCopyOf(LineAddr line) const;
+
+    /**
+     * Device-side read of `line`'s memory copy: the CXL home read (which
+     * also fetches the in-memory bit) plus, when the bit redirects, the
+     * round trip to the owner's frame. Returns the latency.
+     */
+    Cycles readMemCopy(LineAddr line, Cycles now, std::uint64_t *data);
+
+    /**
+     * Write back `data`, which host `from` has sent to the device, to
+     * `line`'s memory copy: the CXL home, or the bit owner's frame (one
+     * more link trip unless `from` is the owner). Off the critical path.
+     */
+    void writeMemCopy(LineAddr line, std::uint64_t data, HostId from,
+                      Cycles now);
+
     // ---- Protocol helpers ----------------------------------------------
 
     /** S->M upgrade at the device directory (write hit on shared line). */
@@ -328,24 +407,38 @@ class MultiHostSystem
     Cycles invalidateSharers(HostId h, LineAddr line, const DirEntry &entry,
                              Cycles now);
 
+    /** Make h the sole M owner of the tracked `line`, stamped with h's
+     *  epoch (DESIGN.md §8). */
+    void
+    grantM(LineAddr line, DirEntry &entry, HostId h, Cycles now)
+    {
+        noteDirState(line, entry.state, DevState::M, h, now);
+        entry.state = DevState::M;
+        entry.sharers = 1u << h;
+        entry.ownerEpoch = epochOf(h);
+    }
+
+    /** Track the untracked `line` as M-owned by h. */
+    void
+    allocateM(LineAddr line, HostId h, Cycles now)
+    {
+        dirAllocate(line, DirEntry{DevState::M, 1u << h, epochOf(h)}, now);
+    }
+
     /** Handle one LLC eviction (cases 1 and 4 live here). */
     void handleEviction(HostId h, const CacheHierarchy::Eviction &ev,
                         Cycles now);
 
-    /** Convenience wrapper for the optional eviction a fill returns. */
-    void
-    handleEvictions(HostId h,
-                    const std::optional<CacheHierarchy::Eviction> &ev,
-                    Cycles now)
-    {
-        if (ev)
-            handleEviction(h, *ev, now);
-    }
+    /**
+     * Invalidate `line` at every sharer of `entry` (only the live ones
+     * when `skip_dead`) and write dirty data back to the memory copy,
+     * after accounting a dead owner's pending value. Returns the sum of
+     * the invalidation requests' latencies.
+     */
+    Cycles recallLine(LineAddr line, const DirEntry &entry, Cycles now,
+                      bool skip_dead);
 
-    /** Invalidate a recalled directory victim at its sharers. */
-    void handleRecall(const DeviceDirectory::Recall &recall, Cycles now);
-
-    /** Allocate a device directory entry, processing any recall. */
+    /** Allocate a device directory entry, recalling any victim. */
     void dirAllocate(LineAddr line, DirEntry entry, Cycles now);
 
     /** Local remapping lookup on the LLC-miss path (cache or walk). */
@@ -356,9 +449,6 @@ class MultiHostSystem
 
     /** Move every migrated line of a revoked page back to CXL memory. */
     void performRevocation(HostId owner, PageFrame page, Cycles now);
-
-    /** Take and clear the pending kernel stall of a core. */
-    Cycles takePendingStall(HostId h, CoreId c);
 
     /**
      * Record a directory state transition of a watched line (trace on).
@@ -496,6 +586,11 @@ class MultiHostSystem
     void runEpoch(Cycles now);
     bool executePromotion(std::uint64_t idx, HostId target, Cycles now);
     void executeDemotion(std::uint64_t idx, Cycles now);
+    /** The shared tail of an OS page move: copy the page's lines into
+     *  the frame the address space just mapped, record the placement
+     *  and shoot the translation down at every core. */
+    PageFrame finishPageMove(std::uint64_t idx, PageFrame old_frame,
+                             HostId placed_on);
     /** Flush a shared page's lines from all caches and the directory. */
     void flushSharedPage(std::uint64_t idx, Cycles now);
 
@@ -552,9 +647,6 @@ class MultiHostSystem
     /** Earliest cycle at which tickSlow() could act (0 forces a slow
      *  tick; maxCycles: no subsystem has anything pending). */
     Cycles nextEventCycle_ = 0;
-    /** Private references bypass the shared/TLB plumbing entirely
-     *  (true when no TLB is modelled). */
-    bool fastPrivate_ = false;
 
     bool naiveCoherence_ = false;   ///< §4.3.1 strawman coherence
     LatencyEstimates est_;

@@ -231,6 +231,56 @@ TEST(CoherencePaths, PipmRevocationFlushesMeLines)
     sys.checkInvariants();
 }
 
+TEST(CoherencePaths, NaiveRecallWritesBackToTheMigratedFrame)
+{
+    // Naive coherence keeps a migrated line's memory copy in the bit
+    // owner's frame (Fig. 8), so a directory recall must write a dirty
+    // copy back there: the home is not what later reads are served from.
+    SystemConfig cfg = testConfig();
+    cfg.fault.enabled = true;   // zero rates: keeps values to check
+    cfg.deviceDirectory.sets = 16;
+    cfg.deviceDirectory.ways = 4;
+    cfg.deviceDirectory.slices = 2;
+    cfg.llcPerCore.sizeBytes = 4096;
+    StubWorkload wl(256 * pageBytes, 8 * pageBytes);
+    MultiHostSystem sys(cfg, Scheme::pipmNaive, wl, 3);
+    PipmState &pipm = *sys.pipmState();
+    const PageFrame cxl_page = pageOf(pageBase(sys.space().sharedFrame(2)));
+    const LineAddr line = cxlLineOf(sys, 2, 0);
+
+    // Promote page 2 to host 0, then stream other pages through host 0's
+    // LLC until line 0 migrates to its frame on eviction.
+    Cycles now = 0;
+    for (unsigned l = 0; l < 8; ++l) {
+        sys.access(0, 0, sharedRef(2, l, MemOp::write), now, 0x900 + l);
+        now += 5'000;
+    }
+    for (std::uint64_t p = 20; p < 64; ++p) {
+        for (unsigned l = 0; l < linesPerPage; l += 2)
+            sys.access(0, 0, sharedRef(p, l, MemOp::read), now);
+    }
+    ASSERT_EQ(pipm.migratedHostOf(cxl_page), 0);
+    ASSERT_TRUE(pipm.lineMigrated(0, cxl_page, 0));
+
+    // Host 1 writes the migrated line, then host 0's misses fill the
+    // directory until that entry is recalled from host 1.
+    sys.access(1, 0, sharedRef(2, 0, MemOp::write), now += 1'000, 0xbeef);
+    ASSERT_EQ(sys.hierarchy(1).stateOf(line), HostState::M);
+    for (std::uint64_t p = 64; p < 256 &&
+                               sys.hierarchy(1).stateOf(line) != HostState::I;
+         ++p) {
+        for (unsigned l = 0; l < linesPerPage; ++l)
+            sys.access(0, 0, sharedRef(p, l, MemOp::read), now += 10);
+    }
+    ASSERT_EQ(sys.hierarchy(1).stateOf(line), HostState::I);
+    ASSERT_TRUE(pipm.lineMigrated(0, cxl_page, 0));
+
+    const AccessResult res =
+        sys.access(0, 0, sharedRef(2, 0, MemOp::read), now += 1'000);
+    EXPECT_EQ(res.data, 0xbeefu);
+    sys.checkInvariants();
+}
+
 TEST(CoherencePaths, RemapCachesTrackPromotionAndRevocation)
 {
     SystemConfig cfg = testConfig();

@@ -202,7 +202,7 @@ TEST_P(SystemTest, RandomStressPreservesCoherenceAndData)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllSchemes, SystemTest, ::testing::ValuesIn(allSchemes),
+    AllSchemes, SystemTest, ::testing::ValuesIn(allSchemesExtended),
     [](const ::testing::TestParamInfo<Scheme> &info) {
         std::string name(toString(info.param));
         for (char &c : name) {
