@@ -14,6 +14,7 @@
 
 #include "common/env.hh"
 #include "common/hash.hh"
+#include "obs/stats_json.hh"
 
 namespace pipmbench
 {
@@ -23,51 +24,33 @@ using namespace pipm;
 namespace
 {
 
-/** Serialise a RunResult as tab-separated fields. */
+/** Serialise a RunResult as one tab-separated column per runFields
+ *  entry, each at full precision, so a cache hit equals the miss. */
 std::string
 serialize(const RunResult &r)
 {
-    std::ostringstream os;
-    os << r.execCycles << '\t' << r.instructions << '\t' << r.ipc << '\t'
-       << r.sharedAccesses << '\t' << r.sharedLlcMisses << '\t'
-       << r.localServedMisses << '\t' << r.cxlServedMisses << '\t'
-       << r.interHostAccesses << '\t' << r.interHostStallCycles << '\t'
-       << r.mgmtStallCycles << '\t' << r.migrationTransferBytes << '\t'
-       << r.osMigrations << '\t' << r.osDemotions << '\t'
-       << r.pipmPromotions << '\t' << r.pipmRevocations << '\t'
-       << r.pipmLinesIn << '\t' << r.pipmLinesBack << '\t'
-       << r.harmfulMigrations << '\t' << r.totalTrackedMigrations << '\t'
-       << r.pageFootprintFrac << '\t' << r.lineFootprintFrac << '\t'
-       << r.linkCrcErrors << '\t' << r.linkRetrainEvents << '\t'
-       << r.poisonEvents << '\t' << r.degradedAccesses << '\t'
-       << r.migrationAborts << '\t' << r.migrationsDeferred << '\t'
-       << r.hostCrashes << '\t' << r.hostRejoins << '\t'
-       << r.crashLinesReclaimed << '\t' << r.crashDirtyLinesLost << '\t'
-       << r.crashRecoveryCycles;
-    return os.str();
+    std::string row;
+    for (const RunField &f : runFields) {
+        if (!row.empty())
+            row += '\t';
+        row += fieldText(r, f);
+    }
+    return row;
 }
 
 bool
 deserialize(const std::string &line, RunResult &r)
 {
-    std::istringstream is(line);
-    if (!(is >> r.execCycles >> r.instructions >> r.ipc >>
-          r.sharedAccesses >> r.sharedLlcMisses >> r.localServedMisses >>
-          r.cxlServedMisses >> r.interHostAccesses >>
-          r.interHostStallCycles >> r.mgmtStallCycles >>
-          r.migrationTransferBytes >> r.osMigrations >> r.osDemotions >>
-          r.pipmPromotions >> r.pipmRevocations >> r.pipmLinesIn >>
-          r.pipmLinesBack >> r.harmfulMigrations >>
-          r.totalTrackedMigrations >> r.pageFootprintFrac >>
-          r.lineFootprintFrac))
-        return false;
-    // The fault and crash columns are later additions; entries cached
-    // before them lack the trailing fields (and were necessarily
-    // fault-free / crash-free runs), so they default to zero.
-    is >> r.linkCrcErrors >> r.linkRetrainEvents >> r.poisonEvents >>
-        r.degradedAccesses >> r.migrationAborts >> r.migrationsDeferred;
-    is >> r.hostCrashes >> r.hostRejoins >> r.crashLinesReclaimed >>
-        r.crashDirtyLinesLost >> r.crashRecoveryCycles;
+    std::size_t pos = 0;
+    for (std::size_t i = 0; i < std::size(runFields); ++i) {
+        // Exactly one column per field: a tab after all but the last.
+        const std::size_t tab = line.find('\t', pos);
+        if ((tab == std::string::npos) != (i + 1 == std::size(runFields)) ||
+            !parseFieldText(r, runFields[i],
+                            std::string_view(line).substr(pos, tab - pos)))
+            return false;
+        pos = tab + 1;
+    }
     return true;
 }
 
@@ -77,10 +60,13 @@ experimentKey(const SystemConfig &cfg, Scheme scheme,
               const Workload &workload, const Options &opts,
               const std::string &extra_key)
 {
+    // The build's git describe salts the key: rows simulated by other
+    // code never answer for this build.
     std::ostringstream key_src;
     key_src << workload.fingerprint() << '|' << toString(scheme) << '|'
             << configKey(cfg) << '|' << opts.measureRefs << '|'
-            << opts.warmupRefs << '|' << opts.seed << '|' << extra_key;
+            << opts.warmupRefs << '|' << opts.seed << '|' << extra_key
+            << '|' << gitDescribe();
     return fnv1aHex(key_src.str());
 }
 

@@ -6,8 +6,9 @@
  * end-to-end matrix also feeds Figs. 11, 12 and 13. Since each harness is
  * its own binary, runs are memoised in a TSV cache file keyed by the full
  * experiment fingerprint (workload, scheme, configuration, run length,
- * seed), so running every harness binary in sequence simulates each
- * combination exactly once.
+ * seed, the build's git describe), so running every harness binary in
+ * sequence simulates each combination exactly once. A row holds one
+ * exact column per runFields entry (sim/runner.hh).
  *
  * Harnesses enqueue every (config, scheme, workload) combination they
  * will read into a Sweep up front; Sweep::run() executes the ones the

@@ -45,7 +45,7 @@ main(int argc, char **argv)
     sweep.run();
 
     std::vector<std::vector<double>> columns(allSchemes.size());
-    RunResult faultTotals;
+    RunResult totals;
     for (const auto &workload : workloads) {
         const RunResult native =
             cachedRun(cfg, Scheme::native, *workload, opts);
@@ -58,17 +58,9 @@ main(int argc, char **argv)
             const double speedup = speedupOver(native, r);
             columns[i].push_back(speedup);
             row.push_back(TablePrinter::num(speedup, 2) + "x");
-            faultTotals.linkCrcErrors += r.linkCrcErrors;
-            faultTotals.linkRetrainEvents += r.linkRetrainEvents;
-            faultTotals.poisonEvents += r.poisonEvents;
-            faultTotals.degradedAccesses += r.degradedAccesses;
-            faultTotals.migrationAborts += r.migrationAborts;
-            faultTotals.migrationsDeferred += r.migrationsDeferred;
-            faultTotals.hostCrashes += r.hostCrashes;
-            faultTotals.hostRejoins += r.hostRejoins;
-            faultTotals.crashLinesReclaimed += r.crashLinesReclaimed;
-            faultTotals.crashDirtyLinesLost += r.crashDirtyLinesLost;
-            faultTotals.crashRecoveryCycles += r.crashRecoveryCycles;
+            for (const RunField &f : runFields)
+                if (f.count)
+                    totals.*f.count += r.*f.count;
         }
         table.row(row);
     }
@@ -81,22 +73,22 @@ main(int argc, char **argv)
 
     if (faulty) {
         std::cout << "Fault injection (PIPM_BENCH_FAULTS): "
-                  << faultTotals.linkCrcErrors << " link CRC errors, "
-                  << faultTotals.linkRetrainEvents << " retrain events, "
-                  << faultTotals.poisonEvents << " poisoned lines, "
-                  << faultTotals.degradedAccesses << " degraded accesses, "
-                  << faultTotals.migrationAborts << " migration aborts, "
-                  << faultTotals.migrationsDeferred
+                  << totals.linkCrcErrors << " link CRC errors, "
+                  << totals.linkRetrainEvents << " retrain events, "
+                  << totals.poisonEvents << " poisoned lines, "
+                  << totals.degradedAccesses << " degraded accesses, "
+                  << totals.migrationAborts << " migration aborts, "
+                  << totals.migrationsDeferred
                   << " migrations deferred (totals across runs).\n";
-        if (faultTotals.hostCrashes || faultTotals.hostRejoins) {
+        if (totals.hostCrashes || totals.hostRejoins) {
             std::cout << "Host crashes (PIPM_BENCH_FAULTS=crash): "
-                      << faultTotals.hostCrashes << " fail-stop crashes, "
-                      << faultTotals.hostRejoins << " cold rejoins, "
-                      << faultTotals.crashLinesReclaimed
+                      << totals.hostCrashes << " fail-stop crashes, "
+                      << totals.hostRejoins << " cold rejoins, "
+                      << totals.crashLinesReclaimed
                       << " lines reclaimed, "
-                      << faultTotals.crashDirtyLinesLost
+                      << totals.crashDirtyLinesLost
                       << " dirty lines lost, "
-                      << faultTotals.crashRecoveryCycles
+                      << totals.crashRecoveryCycles
                       << " recovery cycles (totals across runs).\n";
         }
     }

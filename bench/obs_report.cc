@@ -6,9 +6,9 @@
  * validates the emitted document (schema + accounting invariants), and
  * renders the per-interval breakdown table — the same quantities
  * fig04_interval_breakdown aggregates over whole runs, here resolved in
- * time. The harness then cross-checks the interval columns against the
- * RunResult the very same run returned: every aggregate must match
- * exactly, or it exits non-zero.
+ * time. The harness then cross-checks every totals entry against the
+ * RunResult the very same run returned: each must match exactly, or it
+ * exits non-zero.
  *
  * With --file <stats.json> no simulation runs: an existing export is
  * validated and rendered instead (e.g. a CI artifact).
@@ -49,21 +49,6 @@ columnOf(const JsonValue &counters, const std::string &name)
             return static_cast<int>(i);
     }
     return -1;
-}
-
-/** Sum one counter column across all interval samples. */
-std::uint64_t
-columnTotal(const JsonValue &samples, int col)
-{
-    if (col < 0)
-        return 0;
-    std::uint64_t sum = 0;
-    for (const JsonValue &s : samples.arr) {
-        const JsonValue *c = s.find("counters");
-        if (c && static_cast<std::size_t>(col) < c->arr.size())
-            sum += c->arr[static_cast<std::size_t>(col)].asU64();
-    }
-    return sum;
 }
 
 /** Sum every counter column whose name ends with `suffix`, per sample. */
@@ -161,44 +146,23 @@ renderReport(const JsonValue &doc)
     }
 }
 
-/** Exact cross-check of interval aggregates against the RunResult. */
+/**
+ * Exact cross-check of the totals against the RunResult the same run
+ * returned; the validator already tied each total to its interval
+ * columns.
+ */
 bool
 crossCheck(const JsonValue &doc, const RunResult &r)
 {
-    const JsonValue *intervals = doc.find("intervals");
-    const JsonValue *counters = intervals->find("counters");
-    const JsonValue *samples = intervals->find("samples");
-
-    struct Check
-    {
-        const char *column;
-        std::uint64_t expect;
-    };
-    const Check checks[] = {
-        {"system.shared_accesses", r.sharedAccesses},
-        {"system.shared_llc_misses", r.sharedLlcMisses},
-        {"system.local_served_misses", r.localServedMisses},
-        {"system.cxl_served_misses", r.cxlServedMisses},
-        {"system.inter_host_accesses", r.interHostAccesses},
-        {"system.inter_host_stall_cycles", r.interHostStallCycles},
-        {"system.mgmt_stall_cycles", r.mgmtStallCycles},
-        {"system.os_migrations", r.osMigrations},
-        {"system.os_demotions", r.osDemotions},
-        {"pipm.promotions", r.pipmPromotions},
-        {"pipm.revocations", r.pipmRevocations},
-        {"pipm.lines_in", r.pipmLinesIn},
-        {"pipm.lines_back", r.pipmLinesBack},
-    };
+    const JsonValue *totals = doc.find("totals");
     bool ok = true;
-    for (const Check &c : checks) {
-        const std::uint64_t got =
-            columnTotal(*samples, columnOf(*counters, c.column));
-        if (got != c.expect) {
+    for (const RunField &f : runFields) {
+        const std::string expect = fieldText(r, f);
+        const std::string &got = totals->find(f.name)->raw;
+        if (got != expect) {
             std::fprintf(stderr,
-                         "[obs] FAIL: interval sum of %s = %llu, "
-                         "RunResult says %llu\n",
-                         c.column, static_cast<unsigned long long>(got),
-                         static_cast<unsigned long long>(c.expect));
+                         "[obs] FAIL: totals.%s = %s, RunResult says %s\n",
+                         f.name, got.c_str(), expect.c_str());
             ok = false;
         }
     }

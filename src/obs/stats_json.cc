@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cstdio>
-#include <cstring>
 
 #include "obs/json.hh"
 
@@ -12,153 +11,6 @@
 
 namespace pipm
 {
-
-namespace
-{
-
-/** The fixed "totals" field order; also the validator's required set. */
-struct TotalField
-{
-    const char *name;
-    bool isInteger;
-};
-
-constexpr TotalField kTotalFields[] = {
-    {"exec_cycles", true},
-    {"instructions", true},
-    {"ipc", false},
-    {"shared_accesses", true},
-    {"shared_llc_misses", true},
-    {"local_served_misses", true},
-    {"cxl_served_misses", true},
-    {"inter_host_accesses", true},
-    {"inter_host_stall_cycles", true},
-    {"mgmt_stall_cycles", true},
-    {"migration_transfer_bytes", true},
-    {"os_migrations", true},
-    {"os_demotions", true},
-    {"pipm_promotions", true},
-    {"pipm_revocations", true},
-    {"pipm_lines_in", true},
-    {"pipm_lines_back", true},
-    {"harmful_migrations", true},
-    {"total_tracked_migrations", true},
-    {"link_crc_errors", true},
-    {"link_retrain_events", true},
-    {"poison_events", true},
-    {"degraded_accesses", true},
-    {"migration_aborts", true},
-    {"migrations_deferred", true},
-    {"host_crashes", true},
-    {"host_rejoins", true},
-    {"crash_lines_reclaimed", true},
-    {"crash_dirty_lines_lost", true},
-    {"crash_recovery_cycles", true},
-    {"page_footprint_frac", false},
-    {"line_footprint_frac", false},
-    {"local_hit_rate", false},
-    {"harmful_fraction", false},
-};
-
-/** Totals field values in kTotalFields order. */
-std::vector<std::string>
-totalValues(const RunResult &r)
-{
-    std::vector<std::string> v;
-    v.reserve(std::size(kTotalFields));
-    auto u = [&](std::uint64_t x) { v.push_back(std::to_string(x)); };
-    auto d = [&](double x) { v.push_back(jsonNumber(x)); };
-    u(r.execCycles);
-    u(r.instructions);
-    d(r.ipc);
-    u(r.sharedAccesses);
-    u(r.sharedLlcMisses);
-    u(r.localServedMisses);
-    u(r.cxlServedMisses);
-    u(r.interHostAccesses);
-    u(r.interHostStallCycles);
-    u(r.mgmtStallCycles);
-    u(r.migrationTransferBytes);
-    u(r.osMigrations);
-    u(r.osDemotions);
-    u(r.pipmPromotions);
-    u(r.pipmRevocations);
-    u(r.pipmLinesIn);
-    u(r.pipmLinesBack);
-    u(r.harmfulMigrations);
-    u(r.totalTrackedMigrations);
-    u(r.linkCrcErrors);
-    u(r.linkRetrainEvents);
-    u(r.poisonEvents);
-    u(r.degradedAccesses);
-    u(r.migrationAborts);
-    u(r.migrationsDeferred);
-    u(r.hostCrashes);
-    u(r.hostRejoins);
-    u(r.crashLinesReclaimed);
-    u(r.crashDirtyLinesLost);
-    u(r.crashRecoveryCycles);
-    d(r.pageFootprintFrac);
-    d(r.lineFootprintFrac);
-    d(r.localHitRate());
-    d(r.harmfulFraction());
-    return v;
-}
-
-/**
- * Accounting invariant: totals field == sum of the listed interval
- * counter columns. Columns whose subsystem was not in the run are
- * absent from the schema; the rule then degrades to "total must be 0".
- * A non-null `suffix` additionally sums every column ending in it
- * (per-host groups like hostN.link.crc_errors).
- */
-struct TotalsMapping
-{
-    const char *total;
-    std::vector<const char *> sources;
-    const char *suffix;
-};
-
-const std::vector<TotalsMapping> &
-totalsMappings()
-{
-    static const std::vector<TotalsMapping> m = {
-        {"shared_accesses", {"system.shared_accesses"}, nullptr},
-        {"shared_llc_misses", {"system.shared_llc_misses"}, nullptr},
-        {"local_served_misses", {"system.local_served_misses"}, nullptr},
-        {"cxl_served_misses", {"system.cxl_served_misses"}, nullptr},
-        {"inter_host_accesses", {"system.inter_host_accesses"}, nullptr},
-        {"inter_host_stall_cycles", {"system.inter_host_stall_cycles"},
-         nullptr},
-        {"mgmt_stall_cycles", {"system.mgmt_stall_cycles"}, nullptr},
-        {"migration_transfer_bytes", {"system.migration_transfer_bytes"},
-         nullptr},
-        {"os_migrations", {"system.os_migrations"}, nullptr},
-        {"os_demotions", {"system.os_demotions"}, nullptr},
-        {"pipm_promotions", {"pipm.promotions"}, nullptr},
-        {"pipm_revocations", {"pipm.revocations"}, nullptr},
-        {"pipm_lines_in", {"pipm.lines_in"}, nullptr},
-        {"pipm_lines_back", {"pipm.lines_back"}, nullptr},
-        {"link_crc_errors", {}, ".link.crc_errors"},
-        {"link_retrain_events", {"fault.retrain_events"}, nullptr},
-        {"poison_events",
-         {"fault.poison_transient", "fault.poison_persistent"}, nullptr},
-        {"degraded_accesses", {"fault.degraded_accesses"}, nullptr},
-        {"migration_aborts", {"fault.promotion_aborts", "fault.line_aborts"},
-         nullptr},
-        {"migrations_deferred", {"fault.migrations_deferred"}, nullptr},
-        {"host_crashes", {"fault.host_crashes"}, nullptr},
-        {"host_rejoins", {"fault.host_rejoins"}, nullptr},
-        {"crash_lines_reclaimed",
-         {"fault.crash_dir_swept", "fault.crash_lines_reclaimed"}, nullptr},
-        {"crash_dirty_lines_lost", {"fault.crash_dirty_lines_lost"},
-         nullptr},
-        {"crash_recovery_cycles", {"fault.crash_recovery_cycles"}, nullptr},
-    };
-    return m;
-}
-
-} // namespace
 
 std::string
 gitDescribe()
@@ -174,7 +26,7 @@ renderStatsJson(const StatsJsonMeta &meta, const RunResult &r,
     out.reserve(4096);
     out += "{\n";
 
-    out += "\"schema_version\": 1,\n";
+    out += "\"schema_version\": 2,\n";
 
     out += "\"meta\": {";
     out += "\"workload\": " + jsonQuote(meta.workload);
@@ -190,13 +42,12 @@ renderStatsJson(const StatsJsonMeta &meta, const RunResult &r,
     out += ", \"git_describe\": " + jsonQuote(gitDescribe());
     out += "},\n";
 
+    // Every RunResult field, then the two derived ratios.
     out += "\"totals\": {";
-    const std::vector<std::string> values = totalValues(r);
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i)
-            out += ", ";
-        out += jsonQuote(kTotalFields[i].name) + ": " + values[i];
-    }
+    for (const RunField &f : runFields)
+        out += jsonQuote(f.name) + ": " + fieldText(r, f) + ", ";
+    out += "\"local_hit_rate\": " + jsonNumber(r.localHitRate());
+    out += ", \"harmful_fraction\": " + jsonNumber(r.harmfulFraction());
     out += "},\n";
 
     const MetricsSchema &schema = registry.schema();
@@ -304,8 +155,8 @@ validateStatsJson(const std::string &text)
     }
 
     const JsonValue *version = doc->find("schema_version");
-    if (!version || !version->isNumber() || version->asU64() != 1)
-        err("schema_version missing or not 1");
+    if (!version || !version->isNumber() || version->asU64() != 2)
+        err("schema_version missing or not 2");
 
     // --- meta ---------------------------------------------------------
     const JsonValue *meta = doc->find("meta");
@@ -344,11 +195,14 @@ validateStatsJson(const std::string &text)
         err("totals missing or not an object");
         return errors;
     }
-    for (const TotalField &f : kTotalFields) {
-        const JsonValue *v = totals->find(f.name);
+    std::vector<const char *> required;
+    for (const RunField &f : runFields)
+        required.push_back(f.name);
+    required.insert(required.end(), {"local_hit_rate", "harmful_fraction"});
+    for (const char *name : required) {
+        const JsonValue *v = totals->find(name);
         if (!v || !v->isNumber())
-            err(std::string("totals.") + f.name +
-                " missing or not a number");
+            err(std::string("totals.") + name + " missing or not a number");
     }
 
     // --- intervals ----------------------------------------------------
@@ -416,55 +270,33 @@ validateStatsJson(const std::string &text)
     }
 
     // --- accounting: interval sums == totals --------------------------
-    auto columnSum = [&](const std::string &name,
-                         bool *found) -> std::uint64_t {
-        *found = false;
+    // Columns whose subsystem was not in the run are absent from the
+    // schema; the rule then degrades to "total must be 0".
+    for (const RunField &f : runFields) {
+        const JsonValue *total = totals->find(f.name);
+        if (!f.sources[0] || !total || !total->isNumber())
+            continue;   // run-level value, or already reported above
+        std::uint64_t sum = 0;
+        bool any = false;
         for (std::size_t i = 0; i < counters->arr.size(); ++i) {
-            if (counters->arr[i].raw != name)
+            if (!f.sums(counters->arr[i].raw))
                 continue;
-            *found = true;
-            std::uint64_t sum = 0;
+            any = true;
             for (const JsonValue &sample : samples->arr) {
                 const JsonValue *cdeltas = sample.find("counters");
                 if (cdeltas && cdeltas->isArray() &&
                     i < cdeltas->arr.size())
                     sum += cdeltas->arr[i].asU64();
             }
-            return sum;
-        }
-        return 0;
-    };
-
-    for (const TotalsMapping &m : totalsMappings()) {
-        const JsonValue *total = totals->find(m.total);
-        if (!total || !total->isNumber())
-            continue;   // already reported above
-        std::uint64_t sum = 0;
-        bool any = false;
-        for (const char *src : m.sources) {
-            bool found = false;
-            sum += columnSum(src, &found);
-            any = any || found;
-        }
-        if (m.suffix) {
-            const std::size_t n = std::strlen(m.suffix);
-            for (const JsonValue &name : counters->arr) {
-                if (name.raw.size() < n ||
-                    name.raw.compare(name.raw.size() - n, n, m.suffix) != 0)
-                    continue;
-                bool found = false;
-                sum += columnSum(name.raw, &found);
-                any = any || found;
-            }
         }
         if (!any) {
             if (total->asU64() != 0)
-                err(std::string("totals.") + m.total +
+                err(std::string("totals.") + f.name +
                     " is nonzero but no interval column produces it");
             continue;
         }
         if (sum != total->asU64())
-            err(std::string("totals.") + m.total + " (" +
+            err(std::string("totals.") + f.name + " (" +
                 std::to_string(total->asU64()) +
                 ") != sum of interval deltas (" + std::to_string(sum) +
                 ")");

@@ -3,14 +3,15 @@
  * stats.json: the deterministic machine-readable export of one run
  * (DESIGN.md §10).
  *
- * Schema (version 1):
+ * Schema (version 2; version 1 lacked the six lease totals):
  *
  *   {
- *     "schema_version": 1,
+ *     "schema_version": 2,
  *     "meta": { workload, scheme, seed, warmup_refs_per_core,
  *               measure_refs_per_core, interval_accesses,
  *               config_hash, git_describe },
- *     "totals": { every RunResult measurement field, snake_case },
+ *     "totals": { every runFields entry (sim/runner.hh) in table order,
+ *                 then local_hit_rate and harmful_fraction },
  *     "intervals": {
  *       "counters": ["system.shared_accesses", ...],
  *       "averages": ["system.avg_shared_miss_latency", ...],
@@ -28,10 +29,10 @@
  * across commits of this repository; everything else is a function of
  * (config, scheme, workload, run lengths, seed).
  *
- * The validator checks structure AND accounting: summing an interval
- * counter column must reproduce the corresponding RunResult total
- * exactly (the MetricsRegistry delta invariant), and when a column's
- * producing subsystem was absent the total must be zero.
+ * The validator checks structure AND accounting: summing a field's
+ * source columns (RunField::sources) over the intervals must reproduce
+ * its total exactly (the MetricsRegistry delta invariant), and when no
+ * source column exists the total must be zero.
  */
 
 #ifndef PIPM_OBS_STATS_JSON_HH

@@ -1,6 +1,7 @@
 #include "sim/runner.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <memory>
 #include <vector>
@@ -32,6 +33,40 @@ enum RunMode : unsigned
 };
 
 } // namespace
+
+bool
+RunField::sums(std::string_view column) const
+{
+    for (const char *s : sources) {
+        if (!s)
+            break;
+        const std::string_view src(s);
+        if (src.front() == '*' ? column.ends_with(src.substr(1))
+                               : column == src)
+            return true;
+    }
+    return false;
+}
+
+std::string
+fieldText(const RunResult &r, const RunField &f)
+{
+    if (f.count)
+        return std::to_string(r.*f.count);
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof buf, r.*f.real);
+    return std::string(buf, res.ptr);
+}
+
+bool
+parseFieldText(RunResult &r, const RunField &f, std::string_view text)
+{
+    const char *end = text.data() + text.size();
+    const auto res = f.count
+                         ? std::from_chars(text.data(), end, r.*f.count)
+                         : std::from_chars(text.data(), end, r.*f.real);
+    return res.ec == std::errc() && res.ptr == end;
+}
 
 RunResult
 runExperiment(const SystemConfig &cfg, Scheme scheme,
@@ -139,7 +174,10 @@ runExperiment(const SystemConfig &cfg, Scheme scheme,
     MetricsRegistry registry;
     std::unique_ptr<ObsTrace> trace;
     if (obs_on) {
-        system.registerStats(registry);
+        system.forEachStatGroup(
+            [&](const StatGroup &group, const std::string &prefix) {
+                registry.addGroup(group, prefix);
+            });
         if (trace_capacity > 0) {
             trace = std::make_unique<ObsTrace>(trace_capacity);
             // PIPM_OBS_WATCH: comma-separated line addresses whose
@@ -345,50 +383,18 @@ runExperiment(const SystemConfig &cfg, Scheme scheme,
                          static_cast<double>(exec) / cores.size()
                    : 0.0;
 
-    out.sharedAccesses = system.sharedAccesses.value();
-    out.sharedLlcMisses = system.sharedLlcMisses.value();
-    out.localServedMisses = system.localServedMisses.value();
-    out.cxlServedMisses = system.cxlServedMisses.value();
-    out.interHostAccesses = system.interHostAccesses.value();
-    out.interHostStallCycles = system.interHostStallCycles.value();
-    out.mgmtStallCycles = system.mgmtStallCycles.value();
-    out.migrationTransferBytes = system.migrationTransferBytes.value();
-    out.osMigrations = system.osMigrations.value();
-    out.osDemotions = system.osDemotions.value();
-
-    if (PipmState *p = system.pipmState()) {
-        out.pipmPromotions = p->promotions.value();
-        out.pipmRevocations = p->revocations.value();
-        out.pipmLinesIn = p->linesIn.value();
-        out.pipmLinesBack = p->linesBack.value();
-    }
+    system.forEachStatGroup([&](const StatGroup &group,
+                                const std::string &prefix) {
+        group.forEachCounter([&](const std::string &name, const Counter &c) {
+            const std::string column = prefix + group.name() + "." + name;
+            for (const RunField &f : runFields)
+                if (f.sums(column))
+                    out.*f.count += c.value();
+        });
+    });
     if (HarmfulTracker *t = system.harmfulTracker()) {
         out.harmfulMigrations = t->harmfulMigrations();
         out.totalTrackedMigrations = t->totalMigrations();
-    }
-    if (FaultInjector *f = system.faultInjector()) {
-        for (unsigned h = 0; h < cfg.numHosts; ++h)
-            out.linkCrcErrors +=
-                system.link(static_cast<HostId>(h)).crcErrors.value();
-        out.linkRetrainEvents = f->retrainEvents.value();
-        out.poisonEvents =
-            f->poisonTransient.value() + f->poisonPersistent.value();
-        out.degradedAccesses = f->degradedAccesses.value();
-        out.migrationAborts =
-            f->promotionAborts.value() + f->lineAborts.value();
-        out.migrationsDeferred = f->migrationsDeferred.value();
-        out.hostCrashes = f->hostCrashes.value();
-        out.hostRejoins = f->hostRejoins.value();
-        out.crashLinesReclaimed =
-            f->crashDirSwept.value() + f->crashLinesReclaimed.value();
-        out.crashDirtyLinesLost = f->crashDirtyLinesLost.value();
-        out.crashRecoveryCycles = f->crashRecoveryCycles.value();
-        out.suspicions = f->suspicions.value();
-        out.falseSuspicions = f->falseSuspicions.value();
-        out.fencedRequests = f->fencedRequests.value();
-        out.txnTimeouts = f->txnTimeouts.value();
-        out.txnRetries = f->txnRetries.value();
-        out.stallWindows = f->stallWindowsEntered.value();
     }
     out.pageFootprintFrac = samples ? page_frac_sum / samples : 0.0;
     out.lineFootprintFrac = samples ? line_frac_sum / samples : 0.0;

@@ -13,8 +13,10 @@
 #ifndef PIPM_SIM_RUNNER_HH
 #define PIPM_SIM_RUNNER_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/config.hh"
 #include "sim/scheme.hh"
@@ -147,6 +149,94 @@ struct RunResult
                    : 0.0;
     }
 };
+
+/**
+ * One measurement field of RunResult. `name` is its snake_case key in
+ * stats.json totals, bench-cache rows and result fingerprints; exactly
+ * one of `count` and `real` points at the member. `sources` are the
+ * StatGroup counters whose end-of-run values the field sums, as
+ * "group.stat" columns ("*.stat" matches every column ending in
+ * ".stat", e.g. each host's link); run-level values (cycles, IPC,
+ * footprints, the harmful tracker's lifetime counts) have none.
+ */
+struct RunField
+{
+    const char *name;
+    std::uint64_t RunResult::*count = nullptr;
+    std::array<const char *, 2> sources{};
+    double RunResult::*real = nullptr;
+
+    /** Whether the counter column `column` is one of the sources. */
+    bool sums(std::string_view column) const;
+};
+
+/** Every measurement field of RunResult, in export order. */
+inline constexpr RunField runFields[] = {
+    {"exec_cycles", &RunResult::execCycles},
+    {"instructions", &RunResult::instructions},
+    {"ipc", nullptr, {}, &RunResult::ipc},
+    {"shared_accesses", &RunResult::sharedAccesses,
+     {"system.shared_accesses"}},
+    {"shared_llc_misses", &RunResult::sharedLlcMisses,
+     {"system.shared_llc_misses"}},
+    {"local_served_misses", &RunResult::localServedMisses,
+     {"system.local_served_misses"}},
+    {"cxl_served_misses", &RunResult::cxlServedMisses,
+     {"system.cxl_served_misses"}},
+    {"inter_host_accesses", &RunResult::interHostAccesses,
+     {"system.inter_host_accesses"}},
+    {"inter_host_stall_cycles", &RunResult::interHostStallCycles,
+     {"system.inter_host_stall_cycles"}},
+    {"mgmt_stall_cycles", &RunResult::mgmtStallCycles,
+     {"system.mgmt_stall_cycles"}},
+    {"migration_transfer_bytes", &RunResult::migrationTransferBytes,
+     {"system.migration_transfer_bytes"}},
+    {"os_migrations", &RunResult::osMigrations, {"system.os_migrations"}},
+    {"os_demotions", &RunResult::osDemotions, {"system.os_demotions"}},
+    {"pipm_promotions", &RunResult::pipmPromotions, {"pipm.promotions"}},
+    {"pipm_revocations", &RunResult::pipmRevocations, {"pipm.revocations"}},
+    {"pipm_lines_in", &RunResult::pipmLinesIn, {"pipm.lines_in"}},
+    {"pipm_lines_back", &RunResult::pipmLinesBack, {"pipm.lines_back"}},
+    {"harmful_migrations", &RunResult::harmfulMigrations},
+    {"total_tracked_migrations", &RunResult::totalTrackedMigrations},
+    {"link_crc_errors", &RunResult::linkCrcErrors, {"*.link.crc_errors"}},
+    {"link_retrain_events", &RunResult::linkRetrainEvents,
+     {"fault.retrain_events"}},
+    {"poison_events", &RunResult::poisonEvents,
+     {"fault.poison_transient", "fault.poison_persistent"}},
+    {"degraded_accesses", &RunResult::degradedAccesses,
+     {"fault.degraded_accesses"}},
+    {"migration_aborts", &RunResult::migrationAborts,
+     {"fault.promotion_aborts", "fault.line_aborts"}},
+    {"migrations_deferred", &RunResult::migrationsDeferred,
+     {"fault.migrations_deferred"}},
+    {"host_crashes", &RunResult::hostCrashes, {"fault.host_crashes"}},
+    {"host_rejoins", &RunResult::hostRejoins, {"fault.host_rejoins"}},
+    {"crash_lines_reclaimed", &RunResult::crashLinesReclaimed,
+     {"fault.crash_dir_swept", "fault.crash_lines_reclaimed"}},
+    {"crash_dirty_lines_lost", &RunResult::crashDirtyLinesLost,
+     {"fault.crash_dirty_lines_lost"}},
+    {"crash_recovery_cycles", &RunResult::crashRecoveryCycles,
+     {"fault.crash_recovery_cycles"}},
+    {"suspicions", &RunResult::suspicions, {"fault.suspicions"}},
+    {"false_suspicions", &RunResult::falseSuspicions,
+     {"fault.false_suspicions"}},
+    {"fenced_requests", &RunResult::fencedRequests, {"fault.fenced_requests"}},
+    {"txn_timeouts", &RunResult::txnTimeouts, {"fault.txn_timeouts"}},
+    {"txn_retries", &RunResult::txnRetries, {"fault.txn_retries"}},
+    {"stall_windows", &RunResult::stallWindows, {"fault.stall_windows"}},
+    {"page_footprint_frac", nullptr, {}, &RunResult::pageFootprintFrac},
+    {"line_footprint_frac", nullptr, {}, &RunResult::lineFootprintFrac},
+};
+
+/**
+ * A field's value as exact text: a decimal integer, or the shortest
+ * string that round-trips the double.
+ */
+std::string fieldText(const RunResult &r, const RunField &f);
+
+/** Parse fieldText()'s output into `r`; false when malformed. */
+bool parseFieldText(RunResult &r, const RunField &f, std::string_view text);
 
 /** Run one experiment. */
 RunResult runExperiment(const SystemConfig &cfg, Scheme scheme,

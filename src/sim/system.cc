@@ -309,8 +309,7 @@ MultiHostSystem::access(HostId h, CoreId c, const MemRef &ref,
         lat += ll;
         if (hosts_[h].caches->misses.value() != before) {
             sharedLlcMisses.inc();
-            // Only an owned GIM page's samples include the translation.
-            noteLocalServed(scheme_ == Scheme::localOnly ? ll : lat);
+            noteLocalServed(ll);
             if (osPolicy_)
                 osPolicy_->recordAccess(idx, h);
             if (harmful_)
@@ -853,24 +852,21 @@ MultiHostSystem::cxlAccess(HostId h, CoreId c, std::uint64_t shared_idx,
         // and even the owner itself pays the full device round trip,
         // which is precisely the inefficiency §4.3.1 identifies.
         const HostId bh = mc.host;
-        const PhysAddr frame_addr = lineBase(mc.line) - cfg_.localBase(bh);
-        lat += cxlDram_.access(pa - cfg_.cxlBase(), now, false);
         std::uint64_t data;
         if (bh == h) {
             // Redirect back to the requester's own local memory.
+            lat += cxlDram_.access(pa - cfg_.cxlBase(), now, false);
             lat += hosts_[h].link->transfer(LinkDir::toHost,
                                             CxlFlits::header, now);
-            lat += hosts_[h].dram->access(frame_addr, now, false);
+            lat += hosts_[h].dram->access(
+                lineBase(mc.line) - cfg_.localBase(h), now, false);
             data = mem_.read(mc.line);
             pipm_->localOwnerAccess(h, page);
         } else {
+            // The owner's frame is read like any redirected memory copy,
+            // then the data flit goes on to the requester.
             lat += globalRemapLookup(page, now);
-            lat += hosts_[bh].link->transfer(LinkDir::toHost,
-                                             CxlFlits::header, now);
-            lat += hosts_[bh].dram->access(frame_addr, now, !is_write);
-            data = is_write ? wdata : mem_.read(mc.line);
-            lat += hosts_[bh].link->transfer(LinkDir::toDevice,
-                                             CxlFlits::data, now);
+            lat += readMemCopy(line, now, &data);
             lat += hosts_[h].link->transfer(LinkDir::toHost,
                                             CxlFlits::data, now);
         }
@@ -2110,32 +2106,33 @@ MultiHostSystem::attachTrace(ObsTrace *trace)
 }
 
 void
-MultiHostSystem::registerStats(MetricsRegistry &registry)
+MultiHostSystem::forEachStatGroup(
+    const std::function<void(const StatGroup &, const std::string &)> &fn)
 {
-    // Mirror resetStats(): every group reset at the warmup boundary is
-    // registered, plus the harmful tracker (whose counters are lifetime
-    // totals — the registry's begin() baseline handles the offset).
-    registry.addGroup(stats_);
+    // Mirror resetStats(): every group reset at the warmup boundary, plus
+    // the harmful tracker (whose counters are lifetime totals — the
+    // registry's begin() baseline handles the offset).
+    fn(stats_, "");
     for (unsigned h = 0; h < cfg_.numHosts; ++h) {
         const std::string prefix = "host" + std::to_string(h) + ".";
-        registry.addGroup(hosts_[h].caches->stats(), prefix);
-        registry.addGroup(hosts_[h].dram->stats(), prefix);
-        registry.addGroup(hosts_[h].link->stats(), prefix);
+        fn(hosts_[h].caches->stats(), prefix);
+        fn(hosts_[h].dram->stats(), prefix);
+        fn(hosts_[h].link->stats(), prefix);
         if (hosts_[h].localRemap)
-            registry.addGroup(hosts_[h].localRemap->stats(), prefix);
+            fn(hosts_[h].localRemap->stats(), prefix);
     }
-    registry.addGroup(deviceDir_.stats());
-    registry.addGroup(cxlDram_.stats());
+    fn(deviceDir_.stats(), "");
+    fn(cxlDram_.stats(), "");
     if (globalRemap_)
-        registry.addGroup(globalRemap_->stats());
+        fn(globalRemap_->stats(), "");
     if (pipm_)
-        registry.addGroup(pipm_->stats());
+        fn(pipm_->stats(), "");
     if (faults_)
-        registry.addGroup(faults_->stats());
+        fn(faults_->stats(), "");
     if (switch_)
-        registry.addGroup(switch_->stats());
+        fn(switch_->stats(), "");
     if (harmful_)
-        registry.addGroup(harmful_->stats());
+        fn(harmful_->stats(), "");
 }
 
 void

@@ -22,6 +22,7 @@
 #define PIPM_SIM_SYSTEM_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -37,7 +38,6 @@
 #include "mem/memory_image.hh"
 #include "migration/harmful.hh"
 #include "migration/os_policy.hh"
-#include "obs/metrics_registry.hh"
 #include "obs/trace.hh"
 #include "os/address_space.hh"
 #include "os/tlb.hh"
@@ -204,11 +204,14 @@ class MultiHostSystem
     void attachTrace(ObsTrace *trace);
 
     /**
-     * Register every stat group of this system with a telemetry
-     * registry. Per-host groups (cache, local_dram, link, local_remap)
-     * get a "hostN." prefix since their group names repeat across hosts.
+     * Visit every stat group of this system with the prefix its columns
+     * take in a telemetry registry. Per-host groups (cache, local_dram,
+     * link, local_remap) get a "hostN." prefix since their group names
+     * repeat across hosts.
      */
-    void registerStats(MetricsRegistry &registry);
+    void forEachStatGroup(
+        const std::function<void(const StatGroup &, const std::string &)>
+            &fn);
 
     // ---- Introspection ------------------------------------------------
 
@@ -336,7 +339,11 @@ class MultiHostSystem
                    : pa - cfg_.localBase(h);
     }
 
-    /** A shared miss served by the requester's own DRAM. */
+    /**
+     * A shared miss served by the requester's own DRAM. As for every
+     * note*() below, `lat` is the serving path's latency without the
+     * TLB translation.
+     */
     void
     noteLocalServed(Cycles lat)
     {

@@ -18,6 +18,7 @@
 
 #include "bench_common.hh"
 #include "common/logging.hh"
+#include "fuzz/fuzz.hh"
 #include "workloads/catalog.hh"
 
 namespace
@@ -158,6 +159,21 @@ TEST_F(SweepTest, MalformedCacheRowsAreSkippedAndDropped)
     // The surviving row must satisfy a second lookup (cache hit).
     const RunResult again = cachedRun(cfg, Scheme::native, *workload, opts);
     EXPECT_EQ(r.execCycles, again.execCycles);
+}
+
+TEST_F(SweepTest, CacheHitReturnsTheRunItCached)
+{
+    // Lease faults make every fault and lease column nonzero-capable;
+    // the hit must reproduce each field, the doubles to the last bit.
+    SystemConfig cfg = defaultConfig();
+    cfg.fault = paperSuspicionFaultConfig(1);
+    const auto workload = workloadByName("pr", cfg.footprintScale);
+    const Options opts = testOptions(cachePath("hit"), 1);
+
+    const RunResult miss = cachedRun(cfg, Scheme::pipmFull, *workload, opts);
+    const RunResult hit = cachedRun(cfg, Scheme::pipmFull, *workload, opts);
+    EXPECT_GT(miss.txnRetries + miss.suspicions + miss.stallWindows, 0u);
+    EXPECT_EQ(fuzz::fingerprintResult(miss), fuzz::fingerprintResult(hit));
 }
 
 TEST_F(SweepTest, MergePreservesRowsWrittenByOthers)

@@ -195,7 +195,7 @@ TEST(FuzzSelfTest, PlantedSchedulerSkewIsDetectedAndMinimized)
 
     // A busy sampled case: several fault domains, so the minimizer has
     // something real to strip. Seeded scheduler divergence: the scan
-    // run's execCycles is off by one cycle.
+    // run's exec_cycles is off by one cycle.
     FuzzCase noisy = fuzz::sampleCase(26);
     noisy.cfg.fault.enabled = true;
     noisy.cfg.fault.linkErrorRate = 1e-4;
@@ -213,7 +213,7 @@ TEST(FuzzSelfTest, PlantedSchedulerSkewIsDetectedAndMinimized)
     SkewGuard skew(1);
     const auto verdict = sched.check(noisy);
     ASSERT_FALSE(verdict.ok) << "planted skew must be detected";
-    EXPECT_NE(verdict.detail.find("execCycles"), std::string::npos)
+    EXPECT_NE(verdict.detail.find("exec_cycles"), std::string::npos)
         << verdict.detail;
 
     const fuzz::MinimizedCase m = fuzz::minimizeCase(noisy, sched);

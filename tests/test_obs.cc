@@ -315,7 +315,7 @@ TEST(StatsJson, ExportIsSchemaValidAndMatchesRunResult)
 
     const auto doc = parseJson(text);
     ASSERT_TRUE(doc);
-    EXPECT_EQ(doc->find("schema_version")->asU64(), 1u);
+    EXPECT_EQ(doc->find("schema_version")->asU64(), 2u);
     const JsonValue *meta = doc->find("meta");
     ASSERT_TRUE(meta);
     EXPECT_EQ(meta->find("workload")->raw, "small");
@@ -362,6 +362,32 @@ TEST(StatsJson, ExportIsSchemaValidAndMatchesRunResult)
     EXPECT_EQ(trace->find("events")->arr.size(),
               std::min<std::uint64_t>(64u,
                                       trace->find("recorded")->asU64()));
+    std::remove(path.c_str());
+}
+
+TEST(StatsJson, TotalsCoverEveryRunResultField)
+{
+    // Under short leases and frequent stalls, so the lease totals
+    // (absent from schema 1) are nonzero and the comparison bites.
+    const std::string path = testing::TempDir() + "pipm_stats_lease.json";
+    SystemConfig cfg = smallSystem();
+    cfg.fault = paperSuspicionFaultConfig(1, 2'000.0, 5'000.0);
+    auto wl = smallWorkload();
+    const RunResult r =
+        runExperiment(cfg, Scheme::pipmFull, *wl, obsRun(path));
+    EXPECT_GT(r.suspicions + r.txnTimeouts + r.stallWindows, 0u);
+    const std::string text = slurp(path);
+    for (const auto &e : validateStatsJson(text))
+        ADD_FAILURE() << e;
+    const auto doc = parseJson(text);
+    ASSERT_TRUE(doc);
+    const JsonValue *totals = doc->find("totals");
+    ASSERT_TRUE(totals);
+    for (const RunField &f : runFields) {
+        const JsonValue *v = totals->find(f.name);
+        ASSERT_TRUE(v) << f.name;
+        EXPECT_EQ(v->raw, fieldText(r, f)) << f.name;
+    }
     std::remove(path.c_str());
 }
 

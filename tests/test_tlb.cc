@@ -136,6 +136,39 @@ TEST(TlbSystem, OsMigrationShootsDownAllCores)
     }
 }
 
+TEST(TlbSystem, OsOwnedSharedMissSamplesExcludeTranslation)
+{
+    // A shared miss on a page OS-migrated to the requester samples the
+    // local path's latency alone, like the CXL, GIM and Local-only paths.
+    SystemConfig cfg = testConfig();
+    cfg.tlb.enabled = true;
+    TlbStub wl;
+    MultiHostSystem sys(cfg, Scheme::memtis, wl, 3);
+    Cycles now = 0;
+    for (int epoch = 0; epoch < 4; ++epoch) {
+        for (int i = 0; i < 200; ++i) {
+            sys.access(1, 0, ref(4, static_cast<unsigned>(i) % 8), now);
+            sys.access(0, 0, ref(4, 0), now);
+            now += 300;
+        }
+        now += cfg.osEpochCycles();
+        sys.tick(now);
+    }
+    const HostId owner = sys.gimHostOf(4);
+    ASSERT_NE(owner, invalidHost);
+
+    // A cold translation and an uncached line: the access walks and
+    // misses the LLC.
+    sys.resetStats();
+    sys.tlb(owner, 0)->shootdown(4);
+    const Cycles lat = sys.access(owner, 0, ref(4, 40), now).latency;
+    ASSERT_EQ(sys.sharedLlcMisses.value(), 1u);
+    ASSERT_EQ(sys.localServedMisses.value(), 1u);
+    EXPECT_EQ(sys.avgLocalMissLatency.sum(),
+              static_cast<double>(lat - cfg.tlb.hitCycles -
+                                  cfg.tlb.walkCycles));
+}
+
 TEST(TlbSystem, DisabledByDefault)
 {
     SystemConfig cfg = testConfig();
