@@ -9,6 +9,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -60,20 +61,22 @@ experimentKey(const SystemConfig &cfg, Scheme scheme,
               const Workload &workload, const Options &opts,
               const std::string &extra_key)
 {
-    // The build's git describe salts the key: rows simulated by other
+    // The build's source id salts the key: rows simulated by other
     // code never answer for this build.
     std::ostringstream key_src;
     key_src << workload.fingerprint() << '|' << toString(scheme) << '|'
             << configKey(cfg) << '|' << opts.measureRefs << '|'
             << opts.warmupRefs << '|' << opts.seed << '|' << extra_key
-            << '|' << gitDescribe();
+            << '|' << sourceId();
     return fnv1aHex(key_src.str());
 }
 
 /**
  * Load the cache file as key -> serialized-result. Malformed rows
- * (truncated writes, corrupted keys, short result columns) are skipped
- * with a warning; the next merge drops them from the file.
+ * (truncated writes, corrupted keys, short result columns) are skipped;
+ * the next merge drops them from the file. A sweep reads the file twice
+ * (Sweep::run and mergeCache), so the skip is reported once per file
+ * per process, with the count of the first read that saw it.
  */
 std::map<std::string, std::string>
 loadCache(const std::string &path)
@@ -81,9 +84,8 @@ loadCache(const std::string &path)
     std::map<std::string, std::string> rows;
     std::ifstream in(path);
     std::string line;
-    std::size_t lineno = 0;
+    std::size_t skipped = 0;
     while (std::getline(in, line)) {
-        ++lineno;
         bool ok = line.size() > 17 && line[16] == '\t';
         if (ok) {
             for (std::size_t i = 0; i < 16; ++i)
@@ -93,13 +95,18 @@ loadCache(const std::string &path)
         RunResult parsed;
         ok = ok && deserialize(line.substr(17), parsed);
         if (!ok) {
-            std::fprintf(stderr,
-                         "[bench] warning: skipping malformed cache row "
-                         "%s:%zu\n",
-                         path.c_str(), lineno);
+            ++skipped;
             continue;
         }
         rows[line.substr(0, 16)] = line.substr(17);
+    }
+    // Only the main thread reads the cache (the pool only simulates).
+    static std::set<std::string> warned;
+    if (skipped && warned.insert(path).second) {
+        std::fprintf(stderr,
+                     "[bench] warning: skipping %zu malformed cache "
+                     "row(s) in %s\n",
+                     skipped, path.c_str());
     }
     return rows;
 }

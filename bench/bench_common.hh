@@ -6,7 +6,7 @@
  * end-to-end matrix also feeds Figs. 11, 12 and 13. Since each harness is
  * its own binary, runs are memoised in a TSV cache file keyed by the full
  * experiment fingerprint (workload, scheme, configuration, run length,
- * seed, the build's git describe), so running every harness binary in
+ * seed, the build's source id), so running every harness binary in
  * sequence simulates each combination exactly once. A row holds one
  * exact column per runFields entry (sim/runner.hh).
  *

@@ -24,15 +24,14 @@ main(int argc, char **argv)
     using namespace pipmbench;
 
     const Options opts = optionsFromEnv();
-    // Capacities scale with the footprint (1/footprintScale): the
-    // paper's 1 MB point over a 48 GB RSS corresponds to 4 KB over our
-    // scaled heaps, preserving the entries-to-pages ratio under study.
-    const std::uint64_t sizes[] = {1ull << 10, 4ull << 10, 16ull << 10};
+    // Table 2 units around the paper's 1 MB point; the config scales
+    // them with the footprint (SystemConfig::localRemapCacheBytes), so
+    // 1 MB over a 48 GB RSS is 4 KB over our scaled heaps.
+    const std::uint64_t sizes[] = {256ull << 10, 1ull << 20, 4ull << 20};
 
     TablePrinter table("Figure 16: performance vs local remapping cache "
                        "size (normalised to infinite)");
-    table.header({"workload", "1KB (~256KB)", "4KB (~1MB)",
-                  "16KB (~4MB)", "infinite"});
+    table.header({"workload", "256KB", "1MB", "4MB", "infinite"});
 
     const SystemConfig base_cfg = defaultConfig();
     const auto workloads = table1Workloads(base_cfg.footprintScale);

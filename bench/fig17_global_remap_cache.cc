@@ -24,14 +24,14 @@ main(int argc, char **argv)
     using namespace pipmbench;
 
     const Options opts = optionsFromEnv();
-    // Capacities scale with the footprint (1/footprintScale): the
-    // paper's 16 KB point corresponds to 64 B over our scaled pools.
-    const std::uint64_t sizes[] = {64ull, 256ull, 1024ull};
+    // Table 2 units around the paper's 16 KB point; the config scales
+    // them with the footprint (SystemConfig::globalRemapCacheBytes), so
+    // 16 KB is 64 B over our scaled pools.
+    const std::uint64_t sizes[] = {16ull << 10, 64ull << 10, 256ull << 10};
 
     TablePrinter table("Figure 17: performance vs global remapping cache "
                        "size (normalised to infinite)");
-    table.header({"workload", "64B (~16KB)", "256B (~64KB)",
-                  "1KB (~256KB)", "infinite"});
+    table.header({"workload", "16KB", "64KB", "256KB", "infinite"});
 
     const SystemConfig base_cfg = defaultConfig();
     const auto workloads = table1Workloads(base_cfg.footprintScale);

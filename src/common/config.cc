@@ -195,11 +195,32 @@ SystemConfig::validate() const
                  (lineBytes * llcPerCore.ways),
              " (", llcBytesPerCore(), " B per core x ", coresPerHost,
              " cores / ", llcPerCore.ways, " ways)");
-    fatal_if(!pow2(static_cast<std::uint64_t>(deviceDirectory.sets) *
+    fatal_if(deviceDirectory.ways == 0 || deviceDirectory.sets == 0 ||
+                 deviceDirectory.slices == 0,
+             "device directory geometry must be non-zero");
+    fatal_if(!pow2(static_cast<std::uint64_t>(deviceDirectorySets()) *
                    deviceDirectory.slices),
-             "device directory sets x slices must be a power of two, "
-             "got ", deviceDirectory.sets, " x ",
-             deviceDirectory.slices);
+             "scaled device directory sets x slices must be a power of "
+             "two, got ", deviceDirectorySets(), " x ",
+             deviceDirectory.slices, " (", deviceDirectory.sets,
+             " sets / LLC scale ", llcScale, ")");
+    fatal_if(pipm.globalCacheWays == 0 || pipm.localCacheWays == 0,
+             "remapping cache associativity must be positive");
+    const std::uint64_t local_remap_sets =
+        localRemapCacheBytes() / localRemapEntryBytes / pipm.localCacheWays;
+    fatal_if(!pow2(local_remap_sets),
+             "scaled local remapping cache set count must be a power of "
+             "two, got ", local_remap_sets, " (", localRemapCacheBytes(),
+             " B / ", localRemapEntryBytes, " B entries / ",
+             pipm.localCacheWays, " ways)");
+    const std::uint64_t global_remap_sets =
+        globalRemapCacheBytes() / globalRemapEntryBytes /
+        pipm.globalCacheWays;
+    fatal_if(!pow2(global_remap_sets),
+             "scaled global remapping cache set count must be a power of "
+             "two, got ", global_remap_sets, " (", globalRemapCacheBytes(),
+             " B / ", globalRemapEntryBytes, " B entries / ",
+             pipm.globalCacheWays, " ways)");
     fatal_if(core.width == 0, "core retire width must be positive");
     fatal_if(core.robEntries == 0, "ROB size must be positive");
     fatal_if(core.mshrs == 0, "core MSHR count must be positive");
@@ -214,13 +235,6 @@ SystemConfig::validate() const
              "DRAM bandwidth must be positive");
     fatal_if(localDram.channels == 0 || cxlDram.channels == 0,
              "DRAM channel count must be positive");
-    fatal_if(deviceDirectory.ways == 0 || deviceDirectory.sets == 0 ||
-                 deviceDirectory.slices == 0,
-             "device directory geometry must be non-zero");
-    fatal_if(localDirectory.ways == 0 || localDirectory.sets == 0,
-             "local directory geometry must be non-zero");
-    fatal_if(pipm.globalCacheWays == 0 || pipm.localCacheWays == 0,
-             "remapping cache associativity must be positive");
     fatal_if(pipm.migrationThreshold == 0,
              "PIPM migration threshold must be positive");
     fatal_if(pipm.globalCounterBits == 0 || pipm.globalCounterBits > 8 ||
@@ -247,8 +261,8 @@ SystemConfig::measurementKey() const
        << core.mshrs << ',' << l1Bytes() << ','
        << llcBytesPerCore() << ',' << link.latencyNs << ','
        << link.bytesPerNs << ',' << link.hasSwitch << ','
-       << deviceDirectory.sets << ',' << pipm.globalCacheBytes
-       << ',' << pipm.localCacheBytes << ','
+       << deviceDirectorySets() << ',' << globalRemapCacheBytes()
+       << ',' << localRemapCacheBytes() << ','
        << pipm.infiniteGlobalCache << ','
        << pipm.infiniteLocalCache << ','
        << pipm.migrationThreshold << ','
@@ -374,10 +388,11 @@ testConfig()
     cfg.cxlPoolBytesFull = 256ull << 20;       // 256 MB
     cfg.footprintScale = 4;                    // -> 16 MB local, 64 MB CXL
     cfg.timeScale = 1000;
-    cfg.pipm.globalCacheBytes = 4 * 1024;
-    cfg.pipm.localCacheBytes = 64 * 1024;
+    // Table 2 units: 4 KB global and 64 KB local remapping caches and
+    // 256 directory sets per slice after scaling.
+    cfg.pipm.globalCacheBytes = 16 * 1024;
+    cfg.pipm.localCacheBytes = 256 * 1024;
     cfg.deviceDirectory.sets = 256;
-    cfg.localDirectory.sets = 256;
     cfg.validate();
     return cfg;
 }

@@ -8,11 +8,17 @@
  * device coherence directory, and the PIPM remapping caches (16 KB global,
  * 1 MB local) with migration threshold 8.
  *
- * Two additional scale knobs keep experiments laptop-sized (see DESIGN.md):
+ * Scale knobs keep experiments laptop-sized (see DESIGN.md). The config
+ * fields keep Table 2's full-scale values; one rule derives the
+ * effective size of every capacity from the state it tracks:
  *
- *  - footprintScale divides every workload footprint (48 GB -> 768 MB at
- *    the default of 64) together with the DRAM capacities, preserving the
- *    working-set-to-LLC and pages-to-remap-cache ratios;
+ *  - footprintScale (default 256) divides every workload footprint
+ *    (48 GB -> 192 MB) together with the DRAM capacities and the PIPM
+ *    remapping caches, which track pages, preserving the
+ *    pages-to-remap-cache ratio;
+ *  - l1Scale (4) and llcScale (16) divide the cache capacities, keeping
+ *    the working set much larger than the caches, and llcScale also
+ *    divides the device directory's sets, which track LLC lines;
  *  - timeScale divides the OS page-migration epoch *and* every per-epoch
  *    kernel cost by the same factor, preserving the overhead ratios that
  *    Fig. 4 measures while shrinking the cycles simulated per epoch.
@@ -24,6 +30,7 @@
 #ifndef PIPM_COMMON_CONFIG_HH
 #define PIPM_COMMON_CONFIG_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -104,13 +111,19 @@ struct DirectoryConfig
     Cycles roundTrip = nsToCycles(16.0);
 };
 
-/** The per-host local coherence directory. */
+/**
+ * The per-host local coherence directory. The inclusive LLC holds its
+ * state, so it has a lookup latency but no geometry of its own.
+ */
 struct LocalDirectoryConfig
 {
-    unsigned sets = 4096;
-    unsigned ways = 16;
     Cycles roundTrip = 8;
 };
+
+/** Bytes per global (device) remapping-cache entry (Table 2). */
+static constexpr unsigned globalRemapEntryBytes = 2;
+/** Bytes per local (host RC) remapping-cache entry (Table 2). */
+static constexpr unsigned localRemapEntryBytes = 4;
 
 /** PIPM remapping structures (Sections 4.2 and 4.4, Table 2). */
 struct PipmConfig
@@ -418,6 +431,43 @@ struct SystemConfig
     cxlPoolBytes() const
     {
         return cxlPoolBytesFull / footprintScale;
+    }
+
+    /**
+     * Effective device-directory sets per slice. The directory tracks
+     * LLC lines, so it scales with the LLCs: Table 2's 2048 sets cover
+     * exactly the full-size LLCs, and 2048 / llcScale cover the scaled
+     * ones. Floored at one set.
+     */
+    unsigned
+    deviceDirectorySets() const
+    {
+        const unsigned sets = deviceDirectory.sets / llcScale;
+        return sets ? sets : 1;
+    }
+
+    /**
+     * Effective local remapping-cache capacity in bytes. Remap entries
+     * track pages, so the cache scales with the footprint: Table 2's
+     * 1 MB over a 48 GB RSS is 4 KB at the default 1/256. Floored at
+     * one set of ways.
+     */
+    std::uint64_t
+    localRemapCacheBytes() const
+    {
+        return std::max<std::uint64_t>(
+            pipm.localCacheBytes / footprintScale,
+            std::uint64_t{localRemapEntryBytes} * pipm.localCacheWays);
+    }
+
+    /** Effective global remapping-cache capacity in bytes, by the same
+     *  rule (Table 2's 16 KB is 64 B at the default 1/256). */
+    std::uint64_t
+    globalRemapCacheBytes() const
+    {
+        return std::max<std::uint64_t>(
+            pipm.globalCacheBytes / footprintScale,
+            std::uint64_t{globalRemapEntryBytes} * pipm.globalCacheWays);
     }
 
     /** Total shared-LLC capacity of one host. */

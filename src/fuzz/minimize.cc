@@ -144,8 +144,6 @@ forEachField(const FuzzCase &c, F &&f)
     PIPM_FIELD(deviceDirectory.ways);
     PIPM_FIELD(deviceDirectory.slices);
     PIPM_FIELD(deviceDirectory.roundTrip);
-    PIPM_FIELD(localDirectory.sets);
-    PIPM_FIELD(localDirectory.ways);
     PIPM_FIELD(localDirectory.roundTrip);
     PIPM_FIELD(pipm.globalCacheBytes);
     PIPM_FIELD(pipm.globalCacheWays);

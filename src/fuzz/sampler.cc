@@ -214,8 +214,11 @@ sampleCase(std::uint64_t seed, const FuzzLimits &lim)
     cfg.deviceDirectory.ways = static_cast<unsigned>(pow2In(rng, 2, 4));
     cfg.deviceDirectory.slices = static_cast<unsigned>(pow2In(rng, 0, 4));
     cfg.deviceDirectory.roundTrip = rng.range(16, 128);
-    cfg.localDirectory.sets = static_cast<unsigned>(pow2In(rng, 6, 12));
-    cfg.localDirectory.ways = static_cast<unsigned>(pow2In(rng, 3, 4));
+    // Two draws that once sized the local directory (the LLC holds its
+    // state, so it has no geometry), kept so every seed samples the
+    // same case as before.
+    pow2In(rng, 6, 12);
+    pow2In(rng, 3, 4);
     cfg.localDirectory.roundTrip = rng.range(4, 16);
 
     // ---- PIPM -------------------------------------------------------
@@ -256,6 +259,12 @@ sampleCase(std::uint64_t seed, const FuzzLimits &lim)
     cfg.footprintScale = static_cast<unsigned>(pow2In(rng, 6, 10));
     cfg.timeScale = static_cast<unsigned>(rng.range(100, 2000));
     cfg.migrationBytesScale = static_cast<unsigned>(pow2In(rng, 0, 3));
+    // The directory and remapping caches above were drawn at their
+    // effective sizes; store them in Table 2 units, which the config
+    // scales back down by the same knobs.
+    cfg.deviceDirectory.sets *= cfg.llcScale;
+    cfg.pipm.globalCacheBytes *= cfg.footprintScale;
+    cfg.pipm.localCacheBytes *= cfg.footprintScale;
 
     // ---- Faults: each domain is an independent coin so single-domain
     // and multi-domain compositions both appear often -----------------
@@ -398,11 +407,13 @@ repairCase(FuzzCase &c)
     cfg.deviceDirectory.slices = static_cast<unsigned>(
         floorPow2(std::max(cfg.deviceDirectory.slices, 1u)));
     cfg.deviceDirectory.ways = std::max(cfg.deviceDirectory.ways, 1u);
-    cfg.localDirectory.sets = std::max(cfg.localDirectory.sets, 1u);
-    cfg.localDirectory.ways = std::max(cfg.localDirectory.ways, 1u);
 
-    cfg.pipm.globalCacheWays = std::max(cfg.pipm.globalCacheWays, 1u);
-    cfg.pipm.localCacheWays = std::max(cfg.pipm.localCacheWays, 1u);
+    cfg.pipm.globalCacheWays = static_cast<unsigned>(
+        floorPow2(std::max(cfg.pipm.globalCacheWays, 1u)));
+    cfg.pipm.localCacheWays = static_cast<unsigned>(
+        floorPow2(std::max(cfg.pipm.localCacheWays, 1u)));
+    cfg.pipm.globalCacheBytes = floorPow2(cfg.pipm.globalCacheBytes);
+    cfg.pipm.localCacheBytes = floorPow2(cfg.pipm.localCacheBytes);
     cfg.pipm.globalCounterBits = std::clamp(cfg.pipm.globalCounterBits,
                                             1u, 8u);
     cfg.pipm.localCounterBits = std::clamp(cfg.pipm.localCounterBits,
@@ -476,6 +487,11 @@ repairCase(FuzzCase &c)
         c.workload = "ycsb";
         pat = patternFor(c.workload);
     }
+    // Fitting the workload below may change footprintScale; the
+    // remapping caches keep their effective size through it, so repair
+    // changes the modelled machine only where validity demands it.
+    const std::uint64_t local_remap_bytes = cfg.localRemapCacheBytes();
+    const std::uint64_t global_remap_bytes = cfg.globalRemapCacheBytes();
     // Scaled shared heap must be at least a page...
     while (cfg.footprintScale > 1 &&
            pat->footprintFullBytes / cfg.footprintScale < pageBytes)
@@ -497,6 +513,8 @@ repairCase(FuzzCase &c)
     while (cfg.cxlPoolBytes() > maxScaledPoolBytes &&
            pat->footprintFullBytes / (cfg.footprintScale * 2) >= pageBytes)
         cfg.footprintScale *= 2;
+    cfg.pipm.localCacheBytes = local_remap_bytes * cfg.footprintScale;
+    cfg.pipm.globalCacheBytes = global_remap_bytes * cfg.footprintScale;
     // Private data (floored at 16 pages per SyntheticWorkload) must fit
     // strictly inside each host's local DRAM.
     const std::uint64_t priv_bytes =

@@ -4,18 +4,15 @@
 #include <cstdio>
 
 #include "obs/json.hh"
-
-#ifndef PIPM_GIT_DESCRIBE
-#define PIPM_GIT_DESCRIBE "unknown"
-#endif
+#include "pipm_source_id.hh"
 
 namespace pipm
 {
 
 std::string
-gitDescribe()
+sourceId()
 {
-    return PIPM_GIT_DESCRIBE;
+    return PIPM_SOURCE_ID;
 }
 
 std::string
@@ -39,7 +36,7 @@ renderStatsJson(const StatsJsonMeta &meta, const RunResult &r,
     out += ", \"interval_accesses\": " +
            std::to_string(meta.intervalAccesses);
     out += ", \"config_hash\": " + jsonQuote(meta.configHash);
-    out += ", \"git_describe\": " + jsonQuote(gitDescribe());
+    out += ", \"git_describe\": " + jsonQuote(sourceId());
     out += "},\n";
 
     // Every RunResult field, then the two derived ratios.

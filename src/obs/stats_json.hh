@@ -25,9 +25,9 @@
  *   }
  *
  * Output is byte-deterministic: fixed field order, std::to_chars number
- * formatting, no timestamps. git_describe is the only field that varies
- * across commits of this repository; everything else is a function of
- * (config, scheme, workload, run lengths, seed).
+ * formatting, no timestamps. git_describe holds sourceId(), the only
+ * field that varies across builds of this repository; everything else
+ * is a function of (config, scheme, workload, run lengths, seed).
  *
  * The validator checks structure AND accounting: summing a field's
  * source columns (RunField::sources) over the intervals must reproduce
@@ -60,8 +60,12 @@ struct StatsJsonMeta
     std::string configHash;     ///< fnv1aHex(cfg.measurementKey())
 };
 
-/** The compiled-in `git describe` string ("unknown" outside a repo). */
-std::string gitDescribe();
+/**
+ * The compiled-in source id: `git describe` ("nogit" outside a
+ * repository) plus '+' and a 12-hex digest of src/, taken when the
+ * library was built (cmake/source_id.cmake).
+ */
+std::string sourceId();
 
 /** Render the full stats.json document (ends with a newline). */
 std::string renderStatsJson(const StatsJsonMeta &meta, const RunResult &r,

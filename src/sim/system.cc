@@ -34,6 +34,15 @@ dramEstimate(const DramConfig &d)
            static_cast<Cycles>(lineBytes / d.bytesPerCycle);
 }
 
+/** The device directory's geometry with its effective (scaled) sets. */
+DirectoryConfig
+scaledDirectory(const SystemConfig &cfg)
+{
+    DirectoryConfig dir = cfg.deviceDirectory;
+    dir.sets = cfg.deviceDirectorySets();
+    return dir;
+}
+
 } // namespace
 
 LatencyEstimates
@@ -65,7 +74,7 @@ MultiHostSystem::MultiHostSystem(const SystemConfig &cfg, Scheme scheme,
       space_(std::make_unique<AddressSpace>(cfg, workload.sharedBytes(),
                                             workload.privateBytesPerHost())),
       mem_(cfg.tracksValues()),
-      deviceDir_(cfg.deviceDirectory),
+      deviceDir_(scaledDirectory(cfg)),
       cxlDram_(cfg.cxlDram, "cxl_dram"),
       est_(LatencyEstimates::from(cfg)),
       stats_("system")
@@ -154,7 +163,8 @@ MultiHostSystem::MultiHostSystem(const SystemConfig &cfg, Scheme scheme,
         }
         if (usesPipmMechanism(scheme)) {
             host.localRemap = std::make_unique<RemapCache>(
-                cfg.pipm.localCacheBytes, 4, cfg.pipm.localCacheWays,
+                cfg.localRemapCacheBytes(), localRemapEntryBytes,
+                cfg.pipm.localCacheWays,
                 cfg.pipm.localCacheRoundTrip, "local_remap",
                 cfg.pipm.infiniteLocalCache);
         }
@@ -162,7 +172,8 @@ MultiHostSystem::MultiHostSystem(const SystemConfig &cfg, Scheme scheme,
 
     if (usesPipmMechanism(scheme)) {
         globalRemap_ = std::make_unique<RemapCache>(
-            cfg.pipm.globalCacheBytes, 2, cfg.pipm.globalCacheWays,
+            cfg.globalRemapCacheBytes(), globalRemapEntryBytes,
+            cfg.pipm.globalCacheWays,
             cfg.pipm.globalCacheRoundTrip, "global_remap",
             cfg.pipm.infiniteGlobalCache);
         pipm_ = std::make_unique<PipmState>(

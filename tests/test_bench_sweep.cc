@@ -161,6 +161,37 @@ TEST_F(SweepTest, MalformedCacheRowsAreSkippedAndDropped)
     EXPECT_EQ(r.execCycles, again.execCycles);
 }
 
+TEST_F(SweepTest, MalformedRowsWarnOncePerFile)
+{
+    const SystemConfig cfg = defaultConfig();
+    const auto workload = workloadByName("pr", cfg.footprintScale);
+    const Options opts = testOptions(cachePath("warn_once"), 1);
+    {
+        std::ofstream out(opts.cachePath);
+        for (int i = 0; i < 3; ++i)
+            out << "0123456789abcdef\tnot a row " << i << "\n";
+    }
+
+    // A sweep reads the file twice (the lookup and the merge), and a
+    // later cachedRun reads it again: one warning names all three rows.
+    ::testing::internal::CaptureStderr();
+    Sweep sweep(opts);
+    sweep.add(cfg, Scheme::native, *workload);
+    EXPECT_EQ(sweep.run(), 1u);
+    cachedRun(cfg, Scheme::native, *workload, opts);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+
+    std::size_t warnings = 0;
+    for (std::size_t at = err.find("malformed"); at != std::string::npos;
+         at = err.find("malformed", at + 1))
+        ++warnings;
+    EXPECT_EQ(warnings, 1u) << err;
+    EXPECT_NE(err.find("skipping 3 malformed cache row(s) in " +
+                       opts.cachePath),
+              std::string::npos)
+        << err;
+}
+
 TEST_F(SweepTest, CacheHitReturnsTheRunItCached)
 {
     // Lease faults make every fault and lease column nonzero-capable;

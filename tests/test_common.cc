@@ -9,6 +9,7 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <tuple>
 
 #include "common/config.hh"
 #include "common/env.hh"
@@ -16,6 +17,7 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table_printer.hh"
+#include "workloads/catalog.hh"
 
 namespace pipm
 {
@@ -405,6 +407,87 @@ TEST(Config, ValidateRejectsNonPositiveEpoch)
     cfg.osMigration.intervalMs = 0.0;
     EXPECT_THROW(cfg.validate(), SimError);
     cfg.osMigration.intervalMs = -5.0;
+    EXPECT_THROW(cfg.validate(), SimError);
+}
+
+// ---- One capacity-scaling rule (SystemConfig accessors) ----------------
+
+TEST(ConfigScaling, DefaultDirectoryCoversTheScaledLlcLines)
+{
+    // Table 2's directory covers exactly the full-size LLC lines; scaled
+    // by llcScale it covers exactly the scaled ones (1x reach).
+    const SystemConfig cfg = defaultConfig();
+    EXPECT_EQ(cfg.deviceDirectory.sets, 2048u);
+    EXPECT_EQ(cfg.deviceDirectorySets(), 128u);
+    const std::uint64_t dir_entries =
+        std::uint64_t{cfg.deviceDirectorySets()} * cfg.deviceDirectory.ways *
+        cfg.deviceDirectory.slices;
+    const std::uint64_t llc_lines = std::uint64_t{cfg.numHosts} *
+                                    cfg.coresPerHost *
+                                    cfg.llcBytesPerCore() / lineBytes;
+    EXPECT_EQ(dir_entries, llc_lines);
+}
+
+TEST(ConfigScaling, RemapEntriesPerSharedPageMatchTable2)
+{
+    // Table 2 sizes its remapping caches against pr's 48 GB RSS; the
+    // scaled caches keep the entries-per-shared-page ratio exactly.
+    const SystemConfig cfg = defaultConfig();
+    EXPECT_EQ(cfg.localRemapCacheBytes(), 4u * 1024);
+    EXPECT_EQ(cfg.globalRemapCacheBytes(), 64u);
+    const std::uint64_t full_pages = (48ull << 30) / pageBytes;
+    const std::uint64_t scaled_pages =
+        workloadByName("pr", cfg.footprintScale)->sharedBytes() / pageBytes;
+    for (auto [table2, scaled, entry] :
+         {std::tuple{cfg.pipm.localCacheBytes, cfg.localRemapCacheBytes(),
+                     localRemapEntryBytes},
+          std::tuple{cfg.pipm.globalCacheBytes, cfg.globalRemapCacheBytes(),
+                     globalRemapEntryBytes}}) {
+        // entries / pages, cross-multiplied to stay exact.
+        EXPECT_EQ(scaled / entry * full_pages,
+                  table2 / entry * scaled_pages);
+    }
+}
+
+TEST(ConfigScaling, TestConfigKeepsItsEffectiveSizes)
+{
+    const SystemConfig cfg = testConfig();
+    EXPECT_EQ(cfg.deviceDirectorySets(), 256u);
+    EXPECT_EQ(cfg.localRemapCacheBytes(), 64u * 1024);
+    EXPECT_EQ(cfg.globalRemapCacheBytes(), 4u * 1024);
+}
+
+TEST(ConfigScaling, TinyFootprintScaleClampsToOneSet)
+{
+    // The 1/16384 machine: 16 KB / 16384 is below one 8-way set of 2 B
+    // entries, so the global cache clamps to one set, and still builds.
+    ThrowOnErrorGuard guard;
+    SystemConfig cfg = defaultConfig();
+    cfg.footprintScale = 16384;
+    EXPECT_NO_THROW(cfg.validate());
+    EXPECT_EQ(cfg.globalRemapCacheBytes(),
+              std::uint64_t{globalRemapEntryBytes} * cfg.pipm.globalCacheWays);
+    EXPECT_EQ(cfg.localRemapCacheBytes(), 64u);
+    cfg.llcScale = 4096;
+    cfg.llcPerCore.sizeBytes = 64ull << 20;
+    EXPECT_EQ(cfg.deviceDirectorySets(), 1u);
+    EXPECT_NO_THROW(cfg.validate());
+}
+
+TEST(ConfigScaling, NonPowerOfTwoScaledGeometryIsRejected)
+{
+    ThrowOnErrorGuard guard;
+    SystemConfig cfg = defaultConfig();
+    cfg.deviceDirectory.sets = 3 * 1024;        // 192 scaled sets
+    EXPECT_THROW(cfg.validate(), SimError);
+    cfg = defaultConfig();
+    cfg.pipm.localCacheBytes = 3ull << 20;      // 12 KB: 384 sets
+    EXPECT_THROW(cfg.validate(), SimError);
+    cfg = defaultConfig();
+    cfg.pipm.globalCacheBytes = 48 * 1024;      // 192 B: 12 sets
+    EXPECT_THROW(cfg.validate(), SimError);
+    cfg = defaultConfig();
+    cfg.footprintScale = 384;                   // 1 MB / 384 is no pow2
     EXPECT_THROW(cfg.validate(), SimError);
 }
 
