@@ -120,6 +120,17 @@ class CacheHierarchy
     /** Host-level state of a line (I if not cached). */
     HostState stateOf(LineAddr line) const;
 
+    /**
+     * Visit every line the host caches as fn(line, host-level state), in
+     * LLC slot order (the inclusive LLC holds every cached line).
+     */
+    template <typename Fn>
+    void
+    forEachLine(Fn &&fn) const
+    {
+        llc_.forEach([&](const auto &e) { fn(e.key, e.meta.state); });
+    }
+
     /** Change the host-level state of a cached line (up/downgrades). */
     void setState(LineAddr line, HostState state);
 

@@ -33,7 +33,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -262,14 +261,45 @@ class SetAssoc
         return Entry{keys_[i], meta_[i]};
     }
 
-    /** Apply fn to every valid entry (e.g. flush, stats, invariants). */
+    /**
+     * Apply fn to every valid entry (e.g. flush, stats, invariants), in
+     * slot order: set by set, way by way.
+     */
+    template <typename Fn>
     void
-    forEach(const std::function<void(const Entry &)> &fn) const
+    forEach(Fn &&fn) const
     {
         for (std::size_t i = 0; i < tags_.size(); ++i) {
             if (tags_[i])
                 fn(Entry{keys_[i], meta_[i]});
         }
+    }
+
+    /**
+     * The first valid entry satisfying `pred`, trying entries in
+     * forEach order from the one of rank `rank % occupancy()` (0-based)
+     * and wrapping around past the last slot; nullopt when none does or
+     * the array is empty. Counting the entries and locating the rank
+     * take one pass over the tag strip each, and no allocation.
+     */
+    template <typename Pred>
+    std::optional<Entry>
+    findFromRank(std::uint64_t rank, Pred &&pred) const
+    {
+        const std::uint64_t valid = occupancy();
+        if (valid == 0)
+            return std::nullopt;
+        const std::size_t start = slotOfRank(rank % valid);
+        const std::size_t n = tags_.size();
+        for (std::size_t j = 0; j < n; ++j) {
+            const std::size_t i = start + j < n ? start + j : start + j - n;
+            if (tags_[i]) {
+                Entry e{keys_[i], meta_[i]};
+                if (pred(e))
+                    return e;
+            }
+        }
+        return std::nullopt;
     }
 
     /** Drop every entry without notifying anyone. */
@@ -280,7 +310,7 @@ class SetAssoc
                   static_cast<std::uint8_t>(0));
     }
 
-    /** Number of valid entries (O(capacity); for stats/tests only). */
+    /** Number of valid entries (one pass over the tag strip). */
     std::uint64_t
     occupancy() const
     {
@@ -367,6 +397,36 @@ class SetAssoc
             }
         }
         return npos;
+    }
+
+    /**
+     * Slot of the valid entry of the given rank in slot order, eight
+     * tags per step: a resident tag always has its top bit set and an
+     * empty one is 0, so masking bit 7 of each byte (unlike
+     * swarMatchMask) marks exactly the valid ways.
+     */
+    std::size_t
+    slotOfRank(std::uint64_t rank) const
+    {
+        const std::uint8_t *tags = tags_.data();
+        const std::size_t size = tags_.size();
+        std::size_t i = 0;
+        for (; i + 8 <= size; i += 8) {
+            std::uint64_t m = swarLoad(tags + i) & 0x8080808080808080ull;
+            const auto count = static_cast<unsigned>(std::popcount(m));
+            if (rank >= count) {
+                rank -= count;
+                continue;
+            }
+            for (; rank; --rank)
+                m &= m - 1;
+            return i + static_cast<unsigned>(std::countr_zero(m)) / 8;
+        }
+        for (; i < size; ++i) {
+            if (tags[i] && rank-- == 0)
+                return i;
+        }
+        panic("rank beyond the ", occupancy(), " valid entries");
     }
 
     /** Index of a resident key's way slot, or npos. */

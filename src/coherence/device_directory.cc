@@ -113,11 +113,4 @@ DeviceDirectory::removeSharer(LineAddr line, HostId h)
     }
 }
 
-void
-DeviceDirectory::forEach(
-    const std::function<void(LineAddr, const DirEntry &)> &fn) const
-{
-    entries_.forEach([&](const auto &entry) { fn(entry.key, entry.meta); });
-}
-
 } // namespace pipm

@@ -20,7 +20,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <optional>
 
 #include "cache/set_assoc.hh"
@@ -109,12 +108,32 @@ class DeviceDirectory
     void removeSharer(LineAddr line, HostId h);
 
     /**
-     * Visit every tracked line. Used by the crash sweep (collect the
-     * lines referencing a dead host, then mutate via lookup/deallocate)
-     * and by invariant checks; fn must not modify the directory.
+     * Visit every tracked line in slot order. Used by the crash sweep
+     * (collect the lines referencing a dead host, then mutate via
+     * lookup/deallocate) and by invariant checks; fn must not modify the
+     * directory.
      */
-    void forEach(
-        const std::function<void(LineAddr, const DirEntry &)> &fn) const;
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        entries_.forEach([&](const auto &e) { fn(e.key, e.meta); });
+    }
+
+    /**
+     * The first tracked line satisfying `pred(line, entry)`, trying
+     * lines in forEach order from the one of rank `rank % (tracked
+     * lines)` and wrapping around; nullopt when none does or nothing is
+     * tracked. Picks the line without materialising the directory.
+     */
+    template <typename Pred>
+    std::optional<LineAddr>
+    findFromRank(std::uint64_t rank, Pred &&pred) const
+    {
+        const auto e = entries_.findFromRank(
+            rank, [&](const auto &c) { return pred(c.key, c.meta); });
+        return e ? std::optional<LineAddr>(e->key) : std::nullopt;
+    }
 
     // ---- Metadata fault domain (DESIGN.md §12) ---------------------------
     //

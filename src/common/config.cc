@@ -1,5 +1,6 @@
 #include "common/config.hh"
 
+#include <initializer_list>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -257,6 +258,10 @@ std::string
 SystemConfig::measurementKey() const
 {
     std::ostringstream os;
+    // Every field that changes a run, sizes as simulated (after
+    // scaling); doubles at round-trip precision so no two distinct
+    // values share a key.
+    os.precision(17);
     os << numHosts << ',' << coresPerHost << ','
        << core.mshrs << ',' << l1Bytes() << ','
        << llcBytesPerCore() << ',' << link.latencyNs << ','
@@ -272,6 +277,29 @@ SystemConfig::measurementKey() const
        << footprintScale << ',' << timeScale << ','
        << migrationBytesScale << ',' << l1Scale << ','
        << llcScale;
+    os << ",core:" << core.width << ',' << core.robEntries << ','
+       << core.loadQueue << ',' << core.storeQueue << ','
+       << core.mshrLatencyThreshold << ",cache:" << l1.ways << ','
+       << l1.roundTrip << ',' << llcPerCore.ways << ','
+       << llcPerCore.roundTrip;
+    for (const DramConfig *d : {&localDram, &cxlDram}) {
+        os << ",dram:" << d->tRCns << ',' << d->tRCDns << ',' << d->tCLns
+           << ',' << d->tRPns << ',' << d->channels << ','
+           << d->banksPerChannel << ',' << d->rowBytes << ','
+           << d->bytesPerCycle << ',' << d->controllerNs;
+    }
+    os << ",switch:" << link.switchNs << ',' << link.switchBytesPerNs
+       << ",dir:" << deviceDirectory.ways << ',' << deviceDirectory.slices
+       << ',' << deviceDirectory.roundTrip << ','
+       << localDirectory.roundTrip << ",remap:" << pipm.globalCacheWays
+       << ',' << pipm.globalCacheRoundTrip << ',' << pipm.localCacheWays
+       << ',' << pipm.localCacheRoundTrip << ','
+       << pipm.globalCounterBits << ',' << pipm.localCounterBits << ','
+       << pipm.tableLevels << ",os:" << osMigration.perPageInitiatorUs
+       << ',' << osMigration.perPageOtherUs << ",tlb:" << tlb.enabled
+       << ',' << tlb.entries << ',' << tlb.ways << ',' << tlb.hitCycles
+       << ',' << tlb.walkCycles << ",mem:" << localBytesPerHost() << ','
+       << cxlPoolBytes();
     if (fault.enabled) {
         // Appended only when faults are on so that fault-free keys (and
         // the entries cached before fault injection existed) are stable.

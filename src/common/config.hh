@@ -564,11 +564,12 @@ struct SystemConfig
     std::string describe() const;
 
     /**
-     * Canonical one-line key over every measurement-relevant field,
-     * including the fault/crash schedule when enabled. Two configs with
-     * equal keys produce bit-identical runs; the bench cache and the
-     * stats.json exporter both key on (hashes of) this string, so the
-     * format must stay stable.
+     * Canonical one-line key over every field that changes a run (sizes
+     * as simulated, after scaling), including the fault/crash schedule
+     * when enabled. Two configs with equal keys produce bit-identical
+     * runs; the bench cache and the stats.json exporter both key on
+     * (hashes of) this string. A new config field that reaches the model
+     * belongs here and in ConfigKey.EverySingleFieldTweakChangesTheKey.
      */
     std::string measurementKey() const;
 };

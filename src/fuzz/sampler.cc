@@ -502,13 +502,13 @@ repairCase(FuzzCase &c)
         cfg.cxlPoolBytesFull *= 2;
     while (cfg.cxlPoolBytes() < pageBytes)
         cfg.cxlPoolBytesFull *= 2;
-    // Keep the *scaled* pool fuzz-sized: the invariant sweep and the
-    // crash reclaim walk every pool line, so a multi-GB scaled pool
-    // turns one oracle run into minutes. Raising footprintScale shrinks
-    // the pool and the workload together, so the fit constraints above
-    // are preserved as long as the shared heap stays >= one page.
-    // 64 MB (testConfig's pool): crash reclaim at fuzz event rates can
-    // walk the pool tens of times per run.
+    // Keep the *scaled* pool fuzz-sized: 64 MB, testConfig's pool. No
+    // sweep walks the pool any more (the invariant check and the crash
+    // reclaim cost resident state), but the cap is part of what a seed
+    // samples, and the regression pins replay seeds. Raising
+    // footprintScale shrinks the pool and the workload together, so the
+    // fit constraints above are preserved as long as the shared heap
+    // stays >= one page.
     constexpr std::uint64_t maxScaledPoolBytes = 64ull << 20;
     while (cfg.cxlPoolBytes() > maxScaledPoolBytes &&
            pat->footprintFullBytes / (cfg.footprintScale * 2) >= pageBytes)

@@ -1663,22 +1663,21 @@ MultiHostSystem::applyMetaCorruption(const MetaCorruptEvent &ev, Cycles now)
     // streams; an event preferring a target class that has no eligible
     // entry falls through to the other class.
     auto try_dir = [&]() -> bool {
-        std::vector<LineAddr> lines;
-        deviceDir_.forEach([&](LineAddr line, const DirEntry &) {
-            lines.push_back(line);
-        });
-        for (std::size_t k = 0; k < lines.size(); ++k) {
-            const LineAddr line = lines[(ev.pick + k) % lines.size()];
-            if (!deviceDir_.corruptEntry(line, ev.bits, ev.shadowHit))
-                continue;   // already quarantined
-            faults_->metaCorruptions.inc();
-            if (trace_) {
-                trace_->record(ObsEventType::metaCorruption, now, line,
-                               invalidHost, ev.shadowHit ? 1 : 0);
-            }
-            return true;
+        // Entry pick % n of the n tracked lines in the directory's slot
+        // order, skipping (and wrapping past) quarantined entries.
+        const auto line = deviceDir_.findFromRank(
+            ev.pick, [&](LineAddr l, const DirEntry &) {
+                return !deviceDir_.entryCorrupted(l);
+            });
+        if (!line)
+            return false;
+        deviceDir_.corruptEntry(*line, ev.bits, ev.shadowHit);
+        faults_->metaCorruptions.inc();
+        if (trace_) {
+            trace_->record(ObsEventType::metaCorruption, now, *line,
+                           invalidHost, ev.shadowHit ? 1 : 0);
         }
-        return false;
+        return true;
     };
     auto try_remap = [&]() -> bool {
         if (!pipm_)
@@ -2188,9 +2187,9 @@ MultiHostSystem::checkInvariants() const
                      h);
         }
     }
-    const PhysAddr cxl_base = cfg_.cxlBase();
-    const PhysAddr cxl_end = cfg_.addressSpaceEnd();
-    for (LineAddr line = lineOf(cxl_base); line < lineOf(cxl_end); ++line) {
+    const LineAddr cxl_first = lineOf(cfg_.cxlBase());
+    const LineAddr cxl_end = lineOf(cfg_.addressSpaceEnd());
+    auto check_line = [&](LineAddr line) {
         unsigned m_holders = 0;
         unsigned s_holders = 0;
         for (unsigned h = 0; h < cfg_.numHosts; ++h) {
@@ -2214,7 +2213,7 @@ MultiHostSystem::checkInvariants() const
             // coherence (§5.1.3): every host fills shared lines in M, so
             // SWMR and the poison/directory checks below do not apply.
             // Only the dead-host check above is meaningful.
-            continue;
+            return;
         }
         panic_if(m_holders > 1, "SWMR violated: line ", line,
                  " exclusively cached at ", m_holders, " hosts");
@@ -2242,7 +2241,7 @@ MultiHostSystem::checkInvariants() const
                          "migrated line ", line,
                          " still has a device directory entry");
                 if (!naiveCoherence_)
-                    continue;
+                    return;
             }
         }
         if (entry) {
@@ -2270,6 +2269,28 @@ MultiHostSystem::checkInvariants() const
                          " for host ", int(owner));
             }
         }
+    };
+    // Only a line some LLC caches or the directory tracks can fail a
+    // per-line check: any other line is I at every host and untracked,
+    // which passes all of them. So the sweep costs the resident state,
+    // not the pool: every tracked line, then each cached line the
+    // directory does not track, once, from the lowest-numbered host that
+    // caches it.
+    deviceDir_.forEach([&](LineAddr line, const DirEntry &) {
+        if (line >= cxl_first && line < cxl_end)
+            check_line(line);
+    });
+    for (unsigned h = 0; h < cfg_.numHosts; ++h) {
+        hosts_[h].caches->forEachLine([&](LineAddr line, HostState) {
+            if (line < cxl_first || line >= cxl_end ||
+                deviceDir_.probe(line) != nullptr)
+                return;
+            for (unsigned g = 0; g < h; ++g) {
+                if (hosts_[g].caches->stateOf(line) != HostState::I)
+                    return;
+            }
+            check_line(line);
+        });
     }
 }
 

@@ -8,6 +8,8 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "cache/set_assoc.hh"
 #include "common/logging.hh"
@@ -99,6 +101,58 @@ TEST(SetAssoc, ForEachVisitsAllValidEntries)
         keys.insert(e.key);
     });
     EXPECT_EQ(keys.size(), cache.occupancy());
+}
+
+TEST(SetAssoc, FindFromRankRotatesThroughForEachOrder)
+{
+    // Geometries whose tag strip is a multiple of eight, and ones with
+    // a byte-at-a-time tail (3 and 12 ways over one or few sets).
+    for (const auto [sets, ways] :
+         {std::pair{8u, 2u}, std::pair{16u, 16u}, std::pair{1u, 3u},
+          std::pair{4u, 12u}, std::pair{2u, 5u}}) {
+        SetAssoc<Payload> cache(sets, ways);
+        Rng rng(sets * 100 + ways);
+        for (int k = 0; k < 3 * static_cast<int>(sets * ways); ++k) {
+            const std::uint64_t key = rng.below(4 * sets * ways);
+            if (rng.chance(0.3))
+                cache.invalidate(key);
+            else
+                cache.insertIfAbsent(key, Payload{static_cast<int>(key)});
+        }
+        std::vector<std::uint64_t> order;
+        cache.forEach([&order](const SetAssoc<Payload>::Entry &e) {
+            order.push_back(e.key);
+        });
+        const std::uint64_t n = cache.occupancy();
+        ASSERT_EQ(order.size(), n);
+        ASSERT_GT(n, 1u);
+        for (std::uint64_t r = 0; r < n; ++r) {
+            const auto first = cache.findFromRank(
+                r, [](const SetAssoc<Payload>::Entry &) { return true; });
+            ASSERT_TRUE(first);
+            EXPECT_EQ(first->key, order[r]);
+            EXPECT_EQ(first->meta.v, static_cast<int>(order[r]));
+            // Rejecting the rank-th entry moves to the next one, wrapping
+            // past the last slot.
+            const auto next = cache.findFromRank(
+                r, [&](const SetAssoc<Payload>::Entry &e) {
+                    return e.key != order[r];
+                });
+            ASSERT_TRUE(next);
+            EXPECT_EQ(next->key, order[(r + 1) % n]);
+            // The rank is taken modulo the occupancy.
+            const auto wrapped = cache.findFromRank(
+                r + 3 * n,
+                [](const SetAssoc<Payload>::Entry &) { return true; });
+            ASSERT_TRUE(wrapped);
+            EXPECT_EQ(wrapped->key, order[r]);
+        }
+        EXPECT_FALSE(cache.findFromRank(
+            n - 1, [](const SetAssoc<Payload>::Entry &) { return false; }));
+        cache.clear();
+        EXPECT_FALSE(cache.findFromRank(
+            0, [](const SetAssoc<Payload>::Entry &) { return true; }));
+    }
 }
 
 TEST(SetAssoc, ClearEmptiesEverything)

@@ -10,6 +10,8 @@
 #include <set>
 #include <sstream>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/config.hh"
 #include "common/env.hh"
@@ -408,6 +410,106 @@ TEST(Config, ValidateRejectsNonPositiveEpoch)
     EXPECT_THROW(cfg.validate(), SimError);
     cfg.osMigration.intervalMs = -5.0;
     EXPECT_THROW(cfg.validate(), SimError);
+}
+
+TEST(ConfigKey, EverySingleFieldTweakChangesTheKey)
+{
+    // Two machines that run differently must never share a bench-cache
+    // key or a stats.json config_hash: each tweak below changes one
+    // field that reaches the model and must change measurementKey().
+    using Tweak = std::pair<const char *, void (*)(SystemConfig &)>;
+#define PIPM_TWEAK(expr) Tweak{#expr, [](SystemConfig &c) { expr; }}
+    const std::vector<Tweak> tweaks = {
+        PIPM_TWEAK(c.numHosts = 8),
+        PIPM_TWEAK(c.coresPerHost = 2),
+        PIPM_TWEAK(c.core.width = 4),
+        PIPM_TWEAK(c.core.robEntries = 128),
+        PIPM_TWEAK(c.core.loadQueue = 48),
+        PIPM_TWEAK(c.core.storeQueue = 32),
+        PIPM_TWEAK(c.core.mshrs = 8),
+        PIPM_TWEAK(c.core.mshrLatencyThreshold = 80),
+        PIPM_TWEAK(c.l1.sizeBytes *= 2),
+        PIPM_TWEAK(c.l1.ways = 4),
+        PIPM_TWEAK(c.l1.roundTrip = 5),
+        PIPM_TWEAK(c.llcPerCore.sizeBytes *= 2),
+        PIPM_TWEAK(c.llcPerCore.ways = 8),
+        PIPM_TWEAK(c.llcPerCore.roundTrip = 30),
+        PIPM_TWEAK(c.localDram.tRCns = 46.5),
+        PIPM_TWEAK(c.localDram.tRCDns = 14.5),
+        PIPM_TWEAK(c.localDram.tCLns = 19.5),
+        PIPM_TWEAK(c.localDram.tRPns = 14.5),
+        PIPM_TWEAK(c.localDram.channels = 2),
+        PIPM_TWEAK(c.localDram.banksPerChannel = 16),
+        PIPM_TWEAK(c.localDram.rowBytes = 4096),
+        PIPM_TWEAK(c.localDram.bytesPerCycle = 4.8),
+        PIPM_TWEAK(c.localDram.controllerNs = 12.0),
+        PIPM_TWEAK(c.cxlDram.tRCns = 46.5),
+        PIPM_TWEAK(c.cxlDram.tRCDns = 14.5),
+        PIPM_TWEAK(c.cxlDram.tCLns = 19.5),
+        PIPM_TWEAK(c.cxlDram.tRPns = 14.5),
+        PIPM_TWEAK(c.cxlDram.channels = 4),
+        PIPM_TWEAK(c.cxlDram.banksPerChannel = 16),
+        PIPM_TWEAK(c.cxlDram.rowBytes = 4096),
+        PIPM_TWEAK(c.cxlDram.bytesPerCycle = 4.8),
+        PIPM_TWEAK(c.cxlDram.controllerNs = 12.0),
+        PIPM_TWEAK(c.link.latencyNs = 50.000001),
+        PIPM_TWEAK(c.link.bytesPerNs = 10.0),
+        PIPM_TWEAK(c.link.hasSwitch = true),
+        PIPM_TWEAK(c.link.switchNs = 40.0),
+        PIPM_TWEAK(c.link.switchBytesPerNs = 10.0),
+        PIPM_TWEAK(c.deviceDirectory.sets *= 2),
+        PIPM_TWEAK(c.deviceDirectory.ways = 8),
+        PIPM_TWEAK(c.deviceDirectory.slices = 8),
+        PIPM_TWEAK(c.deviceDirectory.roundTrip += 4),
+        PIPM_TWEAK(c.localDirectory.roundTrip += 4),
+        PIPM_TWEAK(c.pipm.globalCacheBytes *= 2),
+        PIPM_TWEAK(c.pipm.globalCacheWays = 4),
+        PIPM_TWEAK(c.pipm.globalCacheRoundTrip += 2),
+        PIPM_TWEAK(c.pipm.localCacheBytes *= 2),
+        PIPM_TWEAK(c.pipm.localCacheWays = 4),
+        PIPM_TWEAK(c.pipm.localCacheRoundTrip += 2),
+        PIPM_TWEAK(c.pipm.migrationThreshold = 4),
+        PIPM_TWEAK(c.pipm.globalCounterBits = 7),
+        PIPM_TWEAK(c.pipm.localCounterBits = 5),
+        PIPM_TWEAK(c.pipm.tableLevels = 3),
+        PIPM_TWEAK(c.pipm.infiniteLocalCache = true),
+        PIPM_TWEAK(c.pipm.infiniteGlobalCache = true),
+        PIPM_TWEAK(c.osMigration.intervalMs = 5.0),
+        PIPM_TWEAK(c.osMigration.perPageInitiatorUs = 30.0),
+        PIPM_TWEAK(c.osMigration.perPageOtherUs = 7.5),
+        PIPM_TWEAK(c.osMigration.maxPagesPerEpoch = 256),
+        PIPM_TWEAK(c.osMigration.hotThreshold = 4),
+        PIPM_TWEAK(c.tlb.enabled = true),
+        PIPM_TWEAK(c.tlb.entries = 768),
+        PIPM_TWEAK(c.tlb.ways = 4),
+        PIPM_TWEAK(c.tlb.hitCycles = 2),
+        PIPM_TWEAK(c.tlb.walkCycles = 200),
+        PIPM_TWEAK(c.localBytesPerHostFull *= 2),
+        PIPM_TWEAK(c.cxlPoolBytesFull *= 2),
+        PIPM_TWEAK(c.footprintScale = 128),
+        PIPM_TWEAK(c.timeScale = 500),
+        PIPM_TWEAK(c.l1Scale = 2),
+        PIPM_TWEAK(c.llcScale = 8),
+        PIPM_TWEAK(c.migrationBytesScale = 2),
+        PIPM_TWEAK(c.fault.enabled = true),
+    };
+#undef PIPM_TWEAK
+    const std::string base = defaultConfig().measurementKey();
+    std::set<std::string> keys{base};
+    for (const auto &[what, tweak] : tweaks) {
+        SystemConfig cfg = defaultConfig();
+        tweak(cfg);
+        const std::string key = cfg.measurementKey();
+        EXPECT_NE(key, base) << what;
+        EXPECT_TRUE(keys.insert(key).second) << what << " collides";
+    }
+
+    // Fault fields enter the key only while faults are enabled.
+    SystemConfig off = defaultConfig();
+    off.fault.seed = 9;
+    off.fault.linkErrorRate = 1e-3;
+    EXPECT_EQ(off.measurementKey(), base);
+    EXPECT_EQ(base.find(",fault:"), std::string::npos);
 }
 
 // ---- One capacity-scaling rule (SystemConfig accessors) ----------------
